@@ -174,12 +174,8 @@ class Network:
             self._tick_period = getattr(estimator, "tick_period", 1)
         #: attached :class:`repro.engine.kernels.LaneKernel`, or None for
         #: the scalar machine.  While attached, ``step`` routes through
-        #: ``_route_cycle_kernel`` and the vectorized estimator tick.
+        #: ``_route_cycle_kernel``.
         self._kern = None
-        #: kernel-lane mirror of every router's ``out_busy_until`` -- an
-        #: ``(n_nodes, N_PORTS)`` int64 row of the group busy array (set
-        #: only for lanes whose estimator reads link residuals), or None.
-        self._kbusy = None
         #: node-indexed list of the BankController whose queue is the
         #: ejection flow control at that node (None elsewhere); the
         #: kernel's blocked-port due gate polls its queue depth directly.
@@ -227,14 +223,9 @@ class Network:
 
     def step(self, now: int) -> None:
         self._inject_sources(now)
-        kern = self._kern
-        if kern is not None:
+        if self._kern is not None:
             self._route_cycle_kernel(now)
-            if self._tick_period is not None and \
-                    now % self._tick_period == 0:
-                kern.tick(now)
-            return
-        if self.use_reference_loop:
+        elif self.use_reference_loop:
             self._route_cycle_reference(now)
         else:
             self._route_cycle(now)
@@ -696,7 +687,7 @@ class Network:
         router.vc_pkt[slot] = None
         router.vc_free_at[slot] = now + pkt.flits
         router.n_resident -= 1
-        router.kflits -= pkt.flits
+        router.n_flits -= pkt.flits
         entry[2] = None  # drop the packet reference before pooling
         router._entry_pool.append(entry)
         node = router.node
@@ -725,10 +716,7 @@ class Network:
                 })
         else:
             serialization = pkt.flits
-        router.out_busy_until[out_port] = now + serialization
-        kb = self._kbusy
-        if kb is not None:
-            kb[node, out_port] = now + serialization
+        busy = router.out_busy_until[out_port] = now + serialization
 
         if out_port == LOCAL:
             if router.n_resident == 0:
@@ -748,6 +736,8 @@ class Network:
                 sink(pkt, now)
             return
 
+        if busy > router.link_busy_until:
+            router.link_busy_until = busy
         arb_forward = self._arb_fwd_at[node]
         if arb_forward is not None:
             arb_forward(node, pkt, now, out_port)
@@ -798,7 +788,7 @@ class Network:
         downstream.out_entries[out_p].append(entry)
         downstream.port_mask |= 1 << out_p
         downstream.n_resident += 1
-        downstream.kflits += pkt.flits
+        downstream.n_flits += pkt.flits
         if ready_at < downstream.next_active:
             downstream.next_active = ready_at
         if ready_at < downstream.kwake:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.noc.packet import Packet
-from repro.noc.topology import LOCAL, N_PORTS
+from repro.noc.topology import N_PORTS
 
 #: Sentinel "never" wake cycle for the event-driven scheduler.
 NEVER = 1 << 60
@@ -56,8 +56,9 @@ class Router:
 
     __slots__ = (
         "node", "n_vcs", "vc_pkt", "vc_free_at", "out_busy_until",
-        "out_entries", "port_mask", "n_resident", "next_active",
-        "_entry_pool", "kwake", "kblocked", "kflits",
+        "out_entries", "port_mask", "n_resident", "n_flits",
+        "link_busy_until", "next_active", "_entry_pool", "kwake",
+        "kblocked",
     )
 
     def __init__(self, node: int, n_vcs: int):
@@ -68,11 +69,19 @@ class Router:
         #: cycle until which a drained VC is still occupied by a tail
         self.vc_free_at: List[int] = [0] * (N_PORTS * n_vcs)
         self.out_busy_until: List[int] = [0] * N_PORTS
+        #: max of ``out_busy_until`` over the non-LOCAL ports, raised at
+        #: that field's only write site (``Network._forward``); exact,
+        #: because a port forwards only once its busy time has passed,
+        #: so each write is the port's largest value yet
+        self.link_busy_until = 0
         #: out_entries[port] -> list of [in_port, vc, pkt, arrival_cycle]
         self.out_entries: List[List[list]] = [[] for _ in range(N_PORTS)]
         #: bit ``p`` set iff ``out_entries[p]`` is non-empty
         self.port_mask = 0
         self.n_resident = 0
+        #: flits of the resident entries: :meth:`queued_flits`, kept at
+        #: every accept and removal so the RCA tick reads one counter
+        self.n_flits = 0
         #: earliest cycle any entry here could possibly move (lower bound)
         self.next_active = 0
         #: recycled entry lists (allocation pooling for the hot loop)
@@ -87,9 +96,6 @@ class Router:
         #: the BankController whose full queue refused a ready LOCAL
         #: candidate on the last kernel scan, or None
         self.kblocked = None
-        #: incremental mirror of :meth:`queued_flits` (the RCA tick
-        #: kernel folds it without walking the candidate queues)
-        self.kflits = 0
 
     # ------------------------------------------------------------------
 
@@ -158,7 +164,7 @@ class Router:
         self.out_entries[out_port].append(entry)
         self.port_mask |= 1 << out_port
         self.n_resident += 1
-        self.kflits += pkt.flits
+        self.n_flits += pkt.flits
         if arrival < self.next_active:
             self.next_active = arrival
         if arrival < self.kwake:
@@ -179,7 +185,7 @@ class Router:
         self.vc_pkt[slot] = None
         self.vc_free_at[slot] = now + entry[2].flits
         self.n_resident -= 1
-        self.kflits -= entry[2].flits
+        self.n_flits -= entry[2].flits
         entry[2] = None  # drop the packet reference before pooling
         self._entry_pool.append(entry)
 
@@ -227,18 +233,6 @@ class Router:
                 count += len(entries)
             return count
         return len(self.out_entries[out_port])
-
-    def max_output_residual(self, now: int) -> int:
-        """Largest remaining output-link busy time across ports."""
-        residual = 0
-        busy = self.out_busy_until
-        for port in range(N_PORTS):
-            if port == LOCAL:
-                continue
-            left = busy[port] - now
-            if left > residual:
-                residual = left
-        return residual
 
     def occupancy(self) -> float:
         """Fraction of input VCs currently holding a packet."""
