@@ -132,7 +132,7 @@ class EpochSampler:
         span = now - self._last
         net = sim.network
 
-        occupancy = [r.queued_flits() for r in net.routers]
+        occupancy = [r.n_flits for r in net.routers]
         busy_frac = self._bank_busy_fractions(now, span)
 
         tsb: Optional[List[float]] = None

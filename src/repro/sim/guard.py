@@ -13,6 +13,10 @@ Checks, every ``check_period`` executed cycles:
   entry's ``(in_port, vc)`` slot must hold exactly that entry's packet
   (a mismatch is a credit leak or a double allocation); ``port_mask``
   must mirror queue occupancy.
+* **RCA counters** -- per router, ``n_flits`` must equal the flits of
+  the queued entries and ``link_busy_until`` the largest non-LOCAL
+  ``out_busy_until``; the RCA tick reads these two instead of walking
+  the queues and ports.
 * **in-flight packet accounting** -- the network's monotonic
   ``injected - delivered`` must equal NI-queued plus router-resident
   packets.
@@ -34,6 +38,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import DeadlockError, GuardViolationError
 from repro.noc.router import NEVER
+from repro.noc.topology import LOCAL
 from repro.obs.events import EV_GUARD_DEADLOCK, EV_GUARD_VIOLATION
 
 
@@ -170,6 +175,7 @@ class InvariantGuard:
             occupied = sum(
                 1 for pkt in router.vc_pkt if pkt is not None)
             entries_total = 0
+            flits = 0
             mask = 0
             seen_slots: Dict[int, bool] = {}
             for port, entries in enumerate(router.out_entries):
@@ -177,6 +183,7 @@ class InvariantGuard:
                     mask |= 1 << port
                 entries_total += len(entries)
                 for entry in entries:
+                    flits += entry[2].flits
                     slot = entry[0] * router.n_vcs + entry[1]
                     if slot in seen_slots:
                         self._violation(
@@ -204,6 +211,20 @@ class InvariantGuard:
                     now, "conservation",
                     f"router {router.node}: port_mask "
                     f"{router.port_mask:#x} != occupancy {mask:#x}",
+                )
+            if flits != router.n_flits:
+                self._violation(
+                    now, "conservation",
+                    f"router {router.node}: {flits} queued flits, "
+                    f"n_flits={router.n_flits}",
+                )
+            link_busy = max(router.out_busy_until[:LOCAL])
+            if link_busy != router.link_busy_until:
+                self._violation(
+                    now, "link-busy",
+                    f"router {router.node}: link_busy_until="
+                    f"{router.link_busy_until}, but the busiest non-LOCAL "
+                    f"output port is busy until {link_busy}",
                 )
             resident_total += router.n_resident
         queued = sum(len(q) for q in net.source_queues)

@@ -143,6 +143,21 @@ class TestConservationViolations:
         with pytest.raises(GuardViolationError):
             sim.guard.check(sim.cycle)
 
+    def test_flit_counter_drift_is_flagged(self):
+        sim = _sim_with_traffic()
+        _occupied_router(sim).n_flits += 1
+        with pytest.raises(GuardViolationError) as err:
+            sim.guard.check(sim.cycle)
+        assert "n_flits" in err.value.diagnostic["detail"]
+
+    def test_link_busy_counter_drift_is_flagged(self):
+        sim = _sim_with_traffic()
+        router = _occupied_router(sim)
+        router.link_busy_until = max(router.out_busy_until) + 1
+        with pytest.raises(GuardViolationError) as err:
+            sim.guard.check(sim.cycle)
+        assert err.value.diagnostic["check"] == "link-busy"
+
     def test_guard_error_hierarchy(self):
         assert issubclass(GuardViolationError, GuardError)
         assert issubclass(DeadlockError, GuardError)
