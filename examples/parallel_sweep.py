@@ -7,14 +7,8 @@ across a process pool), then again against the warm cache (no
 simulation at all) -- and prints the timing of both alongside the
 paper-style normalised throughput table.
 
-With ``--backend batch`` (needs the ``repro[batch]`` extra) the cold
-pass additionally runs through the batched lockstep backend, printing
-a serial-scalar vs batch comparison and asserting the two are
-byte-identical.
-
 Usage:
     python examples/parallel_sweep.py [workers] [cache_dir]
-        [--backend {scalar,batch}] [--batch-width B]
 """
 
 import argparse
@@ -26,21 +20,15 @@ from repro.sim.parallel import SweepRunStats
 from repro.sim.sweep import SweepGrid, run_sweep
 
 
-def timed_run(grid, label, workers, cache_dir, cache=True,
-              backend="scalar", batch_width=None):
+def timed_run(grid, label, workers, cache_dir):
     stats = SweepRunStats()
-    sweep = run_sweep(grid, workers=workers, cache=cache,
-                      cache_dir=cache_dir, stats=stats,
-                      backend=backend, batch_width=batch_width)
-    extra = ""
-    if backend == "batch":
-        extra = (f", {stats.lanes_packed} lanes in "
-                 f"{stats.lane_groups} groups")
+    sweep = run_sweep(grid, workers=workers, cache=True,
+                      cache_dir=cache_dir, stats=stats)
     print(
         f"{label:14s} {stats.points} points in "
         f"{stats.wall_seconds:6.2f}s  ({stats.points_per_sec:8.2f} "
         f"points/sec, {stats.cache_hits} cached, "
-        f"{stats.simulated} simulated, workers={stats.workers}{extra})"
+        f"{stats.simulated} simulated, workers={stats.workers})"
     )
     return sweep
 
@@ -50,9 +38,6 @@ def main() -> None:
     parser.add_argument("workers", nargs="?", type=int, default=0,
                         help="pool size (0 = one per CPU)")
     parser.add_argument("cache_dir", nargs="?", default=None)
-    parser.add_argument("--backend", choices=("scalar", "batch"),
-                        default="scalar")
-    parser.add_argument("--batch-width", type=int, default=None)
     args = parser.parse_args()
 
     grid = SweepGrid(
@@ -66,26 +51,8 @@ def main() -> None:
            if args.cache_dir is None else None)
     root = args.cache_dir if ctx is None else ctx.name
     try:
-        if args.backend == "batch":
-            # Two uncached passes isolate the backends from the cache
-            # and the pool: serial scalar vs serial batch.
-            scalar = timed_run(grid, "serial scalar", 1, root,
-                               cache=False)
-            batch = timed_run(grid, "serial batch", 1, root, cache=False,
-                              backend="batch",
-                              batch_width=args.batch_width)
-            assert batch.fingerprint() == scalar.fingerprint(), (
-                "batch backend must be byte-identical to scalar"
-            )
-            print("backends byte-identical: "
-                  f"fingerprint {batch.fingerprint()[:16]}")
-
-        cold = timed_run(grid, "cold cache", args.workers, root,
-                         backend=args.backend,
-                         batch_width=args.batch_width)
-        warm = timed_run(grid, "warm cache", args.workers, root,
-                         backend=args.backend,
-                         batch_width=args.batch_width)
+        cold = timed_run(grid, "cold cache", args.workers, root)
+        warm = timed_run(grid, "warm cache", args.workers, root)
         assert warm.fingerprint() == cold.fingerprint(), (
             "cache replay must be byte-identical"
         )

@@ -119,17 +119,12 @@ class BankController:
         #: queued work: (kind, payload, arrival_cycle)
         self.queue: deque = deque()
         self.queue_limit = config.bank_queue_entries
-        #: kernel-mode dequeue hook (see repro.engine.kernels): invoked
-        #: with ``now`` whenever the interface queue pops, because queue
-        #: space is the ejection flow-control predicate and a blocked
-        #: router sleeping on its wake hint must be re-armed for the
-        #: cycle after space appears.  None outside kernel mode.
-        self.kern_wake = None
-        #: kernel-mode service-timer hook (see repro.engine.kernels):
-        #: invoked with the new ``busy_until`` at every write site so
-        #: the lane's ``(n_banks,)`` SoA mirror never drifts from the
-        #: scalar field.  None outside kernel mode.
-        self.kern_busy = None
+        #: dequeue notification, called with ``now`` on every pop of
+        #: ``queue`` (:meth:`_dequeue`): queue space is the ejection
+        #: flow-control predicate, so a router asleep on this bank's
+        #: full queue must be re-armed (the simulator wires this to
+        #: ``Network.on_bank_dequeue``)
+        self.on_dequeue: Optional[Callable[[int], None]] = None
         self.busy_until = 0
         self._current_op: Optional[Tuple] = None
         self.stats = BankStats()
@@ -202,9 +197,6 @@ class BankController:
         ):
             if self.write_buffer.preempt_drain() is not None:
                 self.busy_until = now
-                kb = self.kern_busy
-                if kb is not None:
-                    kb(now)
                 self._current_op = None
                 intervals = self.stats.service_intervals
                 if intervals:
@@ -214,6 +206,14 @@ class BankController:
                     trace(now, EV_BANK_END, {
                         "bank": self.bank, "op": "drain", "preempted": True,
                     })
+
+    def _dequeue(self, now: int) -> Tuple:
+        """Pop the queue head and report the freed slot."""
+        entry = self.queue.popleft()
+        notify = self.on_dequeue
+        if notify is not None:
+            notify(now)
+        return entry
 
     # ------------------------------------------------------------------
     # Simulation step
@@ -229,10 +229,7 @@ class BankController:
             return
         queue = self.queue
         if queue:
-            kind, payload, arrival = queue.popleft()
-            kw = self.kern_wake
-            if kw is not None:
-                kw(now)
+            kind, payload, arrival = self._dequeue(now)
             stats = self.stats
             stats.queue_wait_sum += now - arrival
             stats.queue_wait_samples += 1
@@ -243,9 +240,6 @@ class BankController:
                 self._current_op = ("drain", block, None)
                 service = self._array_write_cycles()
                 self.busy_until = now + service
-                kb = self.kern_busy
-                if kb is not None:
-                    kb(self.busy_until)
                 stats = self.stats
                 stats.busy_cycles += service
                 stats.service_intervals.append((now, now + service))
@@ -280,7 +274,7 @@ class BankController:
         redirect_after = self.port_redirect_after
         stats = self.stats
         while queue and now - queue[0][2] >= redirect_after:
-            kind, payload, arrival = queue.popleft()
+            kind, payload, arrival = self._dequeue(now)
             waited = now - arrival
             stats.queue_wait_sum += waited
             stats.queue_wait_samples += 1
@@ -384,9 +378,6 @@ class BankController:
             raise ValueError(f"unknown bank op {kind}")
 
         self.busy_until = now + service
-        kb = self.kern_busy
-        if kb is not None:
-            kb(self.busy_until)
         stats = self.stats
         stats.busy_cycles += service
         stats.service_intervals.append((now, now + service))

@@ -35,10 +35,10 @@ class MemoryController:
         #: FIFO of not-yet-issued requests (deque: O(1) popleft)
         self._waiting: Deque[Tuple[MemMsg, int]] = deque()
         self._next_issue = 0
-        #: batch-kernel due hint (repro.engine.kernels): earliest cycle
-        #: ``step`` could make progress, recomputed by the kernel after
-        #: every step it executes and zeroed on arrival (and on kernel
-        #: resume) -- stale-low is safe, a premature step is a no-op.
+        #: due hint for the event scheduler: no ``step`` before this cycle
+        #: can make progress.  The scheduler sets it from
+        #: ``next_event_cycle`` after every step it executes; an arrival
+        #: zeroes it.  Stale-low is safe: a premature step is a no-op.
         self.kdue = 0
         self._seq = 0
         self.reads = 0

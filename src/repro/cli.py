@@ -8,7 +8,6 @@ Subcommands::
     python -m repro fig3 --app tpcc
     python -m repro perf --out BENCH_perf.json
     python -m repro sweep --apps tpcc,mcf --workers 4 --out sweep.json
-    python -m repro sweep --apps tpcc,mcf --backend batch
     python -m repro sweep --apps tpcc --progress rich --trace-out tr.json
     python -m repro chaos --app tpcc --fault crc --verify-determinism
     python -m repro trace --app tpcc --out trace.jsonl --chrome trace.json
@@ -35,7 +34,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.access_dist import distribution_for_app
 from repro.analysis.tables import format_histogram, format_table
-from repro.engine import BACKEND_NAMES
 from repro.errors import ReproError
 from repro.sim.config import ALL_SCHEMES, Scheme, make_config, parse_scheme
 from repro.sim.experiment import app_factory, compare_schemes, run_scheme
@@ -121,18 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.add_argument("--scheduler", choices=("dense", "event"),
                         default="event",
                         help="scheduler to profile (with --profile)")
-    perf_p.add_argument("--backend", choices=BACKEND_NAMES,
-                        default="scalar",
-                        help="execution backend for the sweep-throughput "
-                             "benchmark ('batch' needs the repro[batch] "
-                             "extra); with --profile, 'batch' profiles "
-                             "the vectorized kernel path instead of one "
-                             "scalar simulation")
-    perf_p.add_argument("--strict-backend", action="store_true",
-                        help="exit 2 when the batch-throughput section "
-                             "was skipped or any measured width packed "
-                             "zero lane groups (i.e. every point "
-                             "silently fell back to the scalar engine)")
 
     sweep_p = sub.add_parser(
         "sweep", help="run an apps x schemes grid (parallel + cached)")
@@ -193,22 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="exit nonzero when fewer than N points "
                               "were resumed from the checkpoint (CI gate)")
-    sweep_p.add_argument("--backend", choices=BACKEND_NAMES,
-                         default="scalar",
-                         help="execution backend: 'scalar' runs points "
-                              "one at a time, 'batch' packs compatible "
-                              "points into lockstep lane groups "
-                              "(byte-identical results; needs the "
-                              "repro[batch] extra)")
-    sweep_p.add_argument("--batch-width", type=_positive_int,
-                         default=None, metavar="B",
-                         help="max lanes per batch group "
-                              "(default: engine default)")
-    sweep_p.add_argument("--strict-backend", action="store_true",
-                         help="exit 2 when --backend batch packed zero "
-                              "lane groups (every simulated point "
-                              "silently fell back to the scalar "
-                              "engine); cache-only replays are exempt")
     _add_common(sweep_p)
 
     chaos_p = sub.add_parser(
@@ -296,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "root, ledger.jsonl)")
     ledger_p.add_argument("--limit", type=_positive_int, default=20,
                           help="rows shown by list (default 20)")
-    ledger_p.add_argument("--backend", default=None,
-                          choices=BACKEND_NAMES,
-                          help="list filter: only runs of this backend")
     ledger_p.add_argument("--spec", default=None, metavar="PREFIX",
                           help="list filter: grid spec digest prefix")
     ledger_p.add_argument("--threshold", type=float, default=0.2,
@@ -376,19 +343,13 @@ def _cmd_perf(args) -> int:
     from repro.sim import perf as perf_mod
 
     if args.profile:
-        if args.backend == "batch":
-            kwargs = dict(seed=args.seed, top=args.top)
-        else:
-            kwargs = dict(seed=args.seed, scheduler=args.scheduler,
-                          top=args.top)
+        kwargs = dict(seed=args.seed, scheduler=args.scheduler,
+                      top=args.top)
         for name in ("cycles", "warmup"):
             value = getattr(args, name)
             if value is not None:
                 kwargs[name] = value
-        if args.backend == "batch":
-            report = perf_mod.run_batch_profile(**kwargs)
-        else:
-            report = perf_mod.run_profile(**kwargs)
+        report = perf_mod.run_profile(**kwargs)
         print(perf_mod.format_profile(report))
         if args.hotspots:
             print(json.dumps(report["by_cumulative"][:args.hotspots],
@@ -399,7 +360,7 @@ def _cmd_perf(args) -> int:
             print(f"wrote {out}")
         return 0
 
-    kwargs = dict(seed=args.seed, backend=args.backend)
+    kwargs = dict(seed=args.seed)
     if args.smoke:
         # Same window as the full run (speedups stay comparable with
         # the committed baseline), but one config and fewer repeats.
@@ -413,39 +374,6 @@ def _cmd_perf(args) -> int:
     if args.out:
         perf_mod.write_report(report, args.out)
         print(f"wrote {args.out}")
-    if args.strict_backend:
-        batch = report.get("batch_throughput", {})
-        starved = [row["width"] for row in batch.get("widths", ())
-                   if row["lane_groups"] == 0]
-        if "skipped" in batch or starved:
-            if "skipped" in batch:
-                reason = batch["skipped"]
-            else:
-                # Explain *why* with the recorded lane-signature
-                # bucket sizes: all-singleton buckets mean a fully
-                # heterogeneous grid; multi-lane buckets that still
-                # packed nothing point at the width.
-                details = []
-                for row in batch["widths"]:
-                    if row["lane_groups"]:
-                        continue
-                    buckets = row.get("signature_buckets") or []
-                    if not buckets:
-                        why = "no pack attempt recorded"
-                    elif max(buckets) < 2:
-                        why = (f"all {len(buckets)} signature buckets "
-                               "are singletons (no two points share a "
-                               "lane signature)")
-                    else:
-                        why = (f"signature buckets {buckets} yielded "
-                               "only width-1 chunks")
-                    details.append(f"width {row['width']}: {why}")
-                reason = ("zero lane groups packed -- "
-                          + "; ".join(details))
-            print(f"STRICT BACKEND: batch-sweep-throughput fell back "
-                  f"to scalar -- {reason}", file=sys.stderr)
-            return 2
-        print("strict backend: every measured width ran lane groups")
     if args.baseline:
         try:
             with open(args.baseline) as fh:
@@ -492,7 +420,6 @@ def _cmd_sweep(args) -> int:
         cache_dir=args.cache_dir, timeout=args.timeout, stats=stats,
         checkpoint=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        backend=args.backend, batch_width=args.batch_width,
         telemetry=telemetry, ledger=args.ledger,
         ledger_path=args.ledger_path,
     )
@@ -513,7 +440,6 @@ def _cmd_sweep(args) -> int:
     print(
         f"{stats.points} points in {stats.wall_seconds:.2f}s "
         f"({stats.points_per_sec:.2f} points/sec) -- "
-        f"backend={stats.backend} "
         f"workers={resolve_workers(args.workers)} "
         f"hits={stats.cache_hits} misses={stats.cache_misses} "
         f"simulated={stats.simulated} retried={stats.retried} "
@@ -521,14 +447,6 @@ def _cmd_sweep(args) -> int:
         f"evictions={stats.cache_evictions} "
         f"utilization={stats.utilization:.0%}"
     )
-    if stats.backend == "batch":
-        print(
-            f"batch lanes: {stats.lanes_packed} packed in "
-            f"{stats.lane_groups} groups, "
-            f"{stats.scalar_fallbacks} scalar fallbacks "
-            f"(packing deltas: {stats.pack_groups_delta:+d} groups, "
-            f"{stats.pack_fallbacks_delta:+d} fallbacks vs naive)"
-        )
     if telemetry is not None:
         rollups = telemetry.rollups()
         spanned = sum(r["total_s"] for name, r in rollups.items()
@@ -543,30 +461,6 @@ def _cmd_sweep(args) -> int:
     if args.out:
         sweep.save(args.out)
         print(f"wrote {args.out}")
-    if (args.strict_backend and args.backend == "batch"
-            and stats.simulated > 0 and stats.lane_groups == 0):
-        # Zero groups means the requested backend never actually ran:
-        # every simulated point silently fell back to the scalar
-        # engine.  Cache-only replays (simulated == 0) are exempt --
-        # there was nothing to pack.
-        buckets = stats.pack_signature_buckets
-        if not buckets:
-            why = "no lane packing was attempted"
-        elif max(buckets) < 2:
-            why = (f"all {len(buckets)} lane-signature buckets are "
-                   "singletons: no two grid points share a lane "
-                   "signature (vary fewer of app/topology at once)")
-        else:
-            width = args.batch_width or "the engine default"
-            why = (f"signature buckets {buckets} yielded only width-1 "
-                   f"chunks at batch width {width}")
-        print(
-            "STRICT BACKEND: --backend batch packed zero lane groups "
-            f"({stats.scalar_fallbacks} scalar fallbacks) -- every "
-            f"simulated point ran on the scalar engine; {why}",
-            file=sys.stderr,
-        )
-        return 2
     if args.expect_min_hits is not None:
         if stats.hit_rate < args.expect_min_hits:
             print(
@@ -794,8 +688,6 @@ def _cmd_ledger(args) -> int:
         return 1 if failures else 0
 
     records = ledger.entries()
-    if args.backend:
-        records = [r for r in records if r["backend"] == args.backend]
     if args.spec:
         records = [r for r in records
                    if r["spec_digest"].startswith(args.spec)]

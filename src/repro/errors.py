@@ -25,12 +25,6 @@ class WorkloadError(ReproError):
     """An unknown benchmark name or invalid workload specification."""
 
 
-class BackendUnavailableError(ReproError):
-    """An execution backend was requested whose host dependencies are
-    missing (e.g. ``--backend batch`` without the optional numpy extra;
-    install with ``pip install repro[batch]``)."""
-
-
 class FaultConfigError(ConfigError):
     """An invalid :class:`repro.resilience.FaultConfig` (bad rate, an
     out-of-range region/bank index, or a fault model the simulated

@@ -22,7 +22,14 @@ output-link busy expiry, earliest ``ready_at`` among parked entries,
 earliest downstream VC drain, or the bank-aware arbiter's release hint.
 Lower bounds are safe: a spurious early scan is a no-op, and every state
 change that could enable earlier progress (a new entry arriving, an
-upstream VC freeing, a WB estimate update) pokes the hint back down.
+upstream VC freeing, a WB estimate update, a bank dequeue) pokes the
+hint back down.
+
+A ready LOCAL candidate refused by ejection flow control has no timer.
+At a node whose predicate the owner registered as a bank queue
+(``register_sink(..., bank_queue=True)``) the router sleeps on
+``kblocked`` until the bank dequeues (:meth:`on_bank_dequeue`); any
+other predicate re-arms the router for the next cycle.
 
 Cycles delayed-by-arbiter packets spend parked while their router sleeps
 are booked in ``_parked`` and flushed into the arbiter's per-cycle
@@ -100,6 +107,11 @@ class Network:
         self._flow_at: List[Optional[Callable[[Packet], bool]]] = (
             [None] * topo.n_nodes
         )
+        #: True where the flow control refuses only while a bank queue
+        #: is full and the bank reports every dequeue
+        #: (:meth:`on_bank_dequeue`); refused routers there sleep on
+        #: ``kblocked`` instead of re-arming every cycle
+        self._bank_gated: List[bool] = [False] * topo.n_nodes
         self.hop_cycles = config.hop_cycles
 
         # Precompute neighbours and link serialisation factors.
@@ -172,27 +184,26 @@ class Network:
             self._tick_period = None
         else:
             self._tick_period = getattr(estimator, "tick_period", 1)
-        #: attached :class:`repro.engine.kernels.LaneKernel`, or None for
-        #: the scalar machine.  While attached, ``step`` routes through
-        #: ``_route_cycle_kernel``.
-        self._kern = None
-        #: node-indexed list of the BankController whose queue is the
-        #: ejection flow control at that node (None elsewhere); the
-        #: kernel's blocked-port due gate polls its queue depth directly.
-        self._bank_at = None
 
     # ------------------------------------------------------------------
     # Endpoint API
     # ------------------------------------------------------------------
 
     def register_sink(self, node: int, sink: Sink,
-                      flow_control: Optional[Callable[[Packet], bool]] = None
-                      ) -> None:
+                      flow_control: Optional[Callable[[Packet], bool]] = None,
+                      bank_queue: bool = False) -> None:
+        """Attach an ejection endpoint at ``node``.
+
+        ``bank_queue`` promises that ``flow_control`` refuses a packet
+        only while a bank interface queue is full, and that the bank
+        calls :meth:`on_bank_dequeue` whenever that queue pops.
+        """
         self.sinks[node] = sink
         self._sink_at[node] = sink
         if flow_control is not None:
             self.flow_control[node] = flow_control
             self._flow_at[node] = flow_control
+            self._bank_gated[node] = bank_queue
 
     def can_inject(self, node: int) -> bool:
         """Source-side flow control: is there NI queue space at ``node``?
@@ -223,9 +234,7 @@ class Network:
 
     def step(self, now: int) -> None:
         self._inject_sources(now)
-        if self._kern is not None:
-            self._route_cycle_kernel(now)
-        elif self.use_reference_loop:
+        if self.use_reference_loop:
             self._route_cycle_reference(now)
         else:
             self._route_cycle(now)
@@ -269,10 +278,24 @@ class Network:
     def _route_cycle(self, now: int) -> None:
         """Active-set route cycle: scan only due routers/occupied ports.
 
-        Scans the same (router, port) pairs the dense reference loop
-        would act on, in the same order, so every arbitration decision
-        and its side effects are identical; all other pairs are provably
-        no-ops until the recorded wake hints come due.
+        Scans every (router, port) pair whose action could change state,
+        in the dense reference loop's order, so every arbitration
+        decision and its side effects are identical; each scan leaves a
+        ``next_active`` bound before which the router provably cannot
+        act (see the module docstring):
+
+        * a port whose link or downstream VCs are busy waits for them;
+        * a port whose entries are not ready waits for the earliest;
+        * a parked port waits for the arbiter's release hint;
+        * a port that forwarded waits for its link to free (and, with
+          only future arrivals left, for the earliest of those);
+        * a refused LOCAL port waits for its bank to dequeue
+          (``kblocked``), or for the next cycle where no bank queue is
+          registered.
+
+        Skipped scans are no-ops: parked-delay accrual is gap-based
+        (``accrue_parked``), and every event that could enable earlier
+        progress lowers ``next_active``.
         """
         arbiter = self.arbiter
         choose = arbiter.choose
@@ -283,6 +306,7 @@ class Network:
         routers = self.routers
         neighbor_node = self.neighbor_node
         flow_at = self._flow_at
+        bank_gated = self._bank_gated
         parked_map = self._parked
         mask_ports = MASK_PORTS
         opposite = OPPOSITE
@@ -309,7 +333,13 @@ class Network:
             out_busy_until = router.out_busy_until
             neighbors = neighbor_node[node]
             wake = never
-            forwarded = False
+            blocked_on_bank = False
+            # The scan owns the hint from here: it re-derives a complete
+            # bound below, and anything that fires *during* the scan (a
+            # WB ack delivered by this router's own LOCAL forward poking
+            # this very node) re-lowers it; the scan-end assignment
+            # takes the minimum so such pokes survive.
+            router.next_active = never
             for out_port in mask_ports[router.port_mask]:
                 entries = out_entries[out_port]
                 busy = out_busy_until[out_port]
@@ -348,169 +378,11 @@ class Network:
                 del cand_index[:]
                 min_ready = never
                 blocked = False
-                if out_port == local:
-                    accept = flow_at[node]
-                    for i, e in enumerate(entries):
-                        ra = e[3]  # == e[2].ready_at for live entries
-                        if ra <= now:
-                            if accept is None or accept(e[2]):
-                                candidates.append(e)
-                                cand_index.append(i)
-                            else:
-                                blocked = True
-                        elif ra < min_ready:
-                            min_ready = ra
-                else:
-                    for i, e in enumerate(entries):
-                        ra = e[3]  # == e[2].ready_at for live entries
-                        if ra <= now:
-                            candidates.append(e)
-                            cand_index.append(i)
-                        elif ra < min_ready:
-                            min_ready = ra
-                if parked_mask and (
-                        parked_mask >> ((node << 3) | out_port)) & 1:
-                    parked_mask &= ~(1 << ((node << 3) | out_port))
-                    self._parked_mask = parked_mask
-                    parked = parked_map.pop((node, out_port))
-                    gap = now - parked[0] - 1
-                    if gap > 0:
-                        arbiter.accrue_parked(parked[1], gap)
-                if not candidates:
-                    # A flow-control refusal has no timer: the sink's
-                    # predicate may open at any cycle, so re-arm densely.
-                    if blocked:
-                        wake = now + 1
-                    elif min_ready < wake:
-                        wake = min_ready
-                    continue
-                winner = node_choose(node, out_port, candidates, now)
-                if winner is None:
-                    # Every candidate heads to a predicted-busy bank: park
-                    # them and sleep until the arbiter's release bound.
-                    parked_map[(node, out_port)] = (now, tuple(candidates))
-                    parked_mask |= 1 << ((node << 3) | out_port)
-                    self._parked_mask = parked_mask
-                    hint = arbiter.release_hint(
-                        node, out_port, candidates, now)
-                    if hint < wake:
-                        wake = hint
-                    if min_ready < wake:
-                        wake = min_ready
-                    continue
-                forward(router, downstream, out_port,
-                        candidates[winner], cand_index[winner], now)
-                forwarded = True
-            router.next_active = now + 1 if forwarded else wake
-
-    def _route_cycle_kernel(self, now: int) -> None:
-        """Kernel-mode route cycle: the active-set scan plus blocked-port
-        sleeping.
-
-        Identical decision sequence to :meth:`_route_cycle` -- it runs
-        every scan that could change state, in the same order, and
-        assigns ``next_active`` the exact value the scalar scan would, so
-        the simulator's cycle-skip schedule never diverges.  What it adds
-        is a second, private wake hint (``kwake``/``kblocked``): a router
-        whose only pending work is a flow-control-refused LOCAL candidate
-        is *not* rescanned densely (the scalar loop re-arms ``now + 1``
-        because the sink predicate has no timer); instead the refusing
-        bank is recorded and the gate polls its queue depth, which is the
-        entire refusal predicate for ejection flow control (COHERENCE /
-        ACK / MC-bound packets are never refused).  Skipped scans are
-        provably no-ops: parked-delay accrual is gap-based
-        (``accrue_parked``), and every event that could enable earlier
-        progress lowers ``kwake`` at the same sites that lower
-        ``next_active``.
-        """
-        arbiter = self.arbiter
-        choose = arbiter.choose
-        choose_at = getattr(arbiter, "choose_at", None)
-        forward = self._forward
-        routers = self.routers
-        neighbor_node = self.neighbor_node
-        flow_at = self._flow_at
-        bank_at = self._bank_at
-        parked_map = self._parked
-        mask_ports = MASK_PORTS
-        opposite = OPPOSITE
-        local = LOCAL
-        never = NEVER
-        n_vcs = self.config.n_vcs
-        parked_mask = self._parked_mask
-        candidates: list = self._scratch_cand
-        cand_index: list = self._scratch_idx
-        active = self._active_routers
-        if not active:
-            return
-        for node in sorted(active):
-            router = routers[node]
-            if router.n_resident == 0:
-                continue
-            if router.kwake > now:
-                kb = router.kblocked
-                if kb is None or len(kb.queue) >= kb.queue_limit:
-                    continue
-                router.kblocked = None
-            node_choose = choose_at[node] if choose_at is not None else choose
-            out_entries = router.out_entries
-            out_busy_until = router.out_busy_until
-            neighbors = neighbor_node[node]
-            wake = never
-            kwake = never
-            kblocked_new = None
-            forwarded = False
-            # The scan owns the kernel hint from here: it re-derives a
-            # complete bound below, and anything that fires *during* the
-            # scan (a WB ack delivered by this router's own LOCAL
-            # forward poking this very node) re-lowers it; the scan-end
-            # assignment takes the minimum so such pokes survive.
-            router.kwake = never
-            for out_port in mask_ports[router.port_mask]:
-                entries = out_entries[out_port]
-                busy = out_busy_until[out_port]
-                if busy > now:
-                    if busy < wake:
-                        wake = busy
-                    if busy < kwake:
-                        kwake = busy
-                    continue
-                if out_port == local:
-                    downstream = None
-                else:
-                    down_node = neighbors[out_port]
-                    if down_node is None:  # pragma: no cover
-                        raise RoutingError(
-                            f"packet routed off-mesh at node {node}"
-                        )
-                    downstream = routers[down_node]
-                    d_pkt = downstream.vc_pkt
-                    d_free = downstream.vc_free_at
-                    base = opposite[out_port] * n_vcs
-                    vc_at = never
-                    for s in range(base, base + n_vcs):
-                        if d_pkt[s] is None:
-                            t = d_free[s]
-                            if t <= now:
-                                vc_at = now
-                                break
-                            if t < vc_at:
-                                vc_at = t
-                    if vc_at > now:
-                        if vc_at < wake:
-                            wake = vc_at
-                        if vc_at < kwake:
-                            kwake = vc_at
-                        continue
-                del candidates[:]
-                del cand_index[:]
-                min_ready = never
-                blocked = False
                 if len(entries) == 1:
                     # Single-occupant port -- the common case on a
                     # lightly loaded mesh; same decisions as the
                     # general loops below without the enumerate
-                    # machinery (kernel loop only).
+                    # machinery.
                     e = entries[0]
                     ra = e[3]  # == e[2].ready_at for live entries
                     if ra > now:
@@ -555,25 +427,22 @@ class Network:
                         arbiter.accrue_parked(parked[1], gap)
                 if not candidates:
                     if blocked:
-                        # Scalar semantics: re-arm densely.  Kernel: the
-                        # refusal only flips when the bank queue shrinks
-                        # (polled by the due gate) or a recorded wake
-                        # event fires -- including a not-yet-ready
-                        # COHERENCE/ACK packet becoming ready, which a
-                        # full queue never refuses, hence the min_ready
-                        # fold below.
-                        wake = now + 1
-                        kblocked_new = bank_at[node]
-                        if min_ready < kwake:
-                            kwake = min_ready
-                    else:
-                        if min_ready < wake:
-                            wake = min_ready
-                        if min_ready < kwake:
-                            kwake = min_ready
+                        if bank_gated[node]:
+                            # The refusal flips only when the bank queue
+                            # pops; a not-yet-ready entry (COHERENCE/ACK
+                            # are never refused) still folds below.
+                            blocked_on_bank = True
+                        else:
+                            # Unregistered predicate: no wake event, so
+                            # re-arm densely.
+                            wake = now + 1
+                    if min_ready < wake:
+                        wake = min_ready
                     continue
                 winner = node_choose(node, out_port, candidates, now)
                 if winner is None:
+                    # Every candidate heads to a predicted-busy bank: park
+                    # them and sleep until the arbiter's release bound.
                     parked_map[(node, out_port)] = (now, tuple(candidates))
                     parked_mask |= 1 << ((node << 3) | out_port)
                     self._parked_mask = parked_mask
@@ -583,45 +452,24 @@ class Network:
                         wake = hint
                     if min_ready < wake:
                         wake = min_ready
-                    if hint < kwake:
-                        kwake = hint
-                    if min_ready < kwake:
-                        kwake = min_ready
                     continue
                 forward(router, downstream, out_port,
                         candidates[winner], cand_index[winner], now)
-                forwarded = True
-                # Post-forward bound for the kernel hint only: entries
-                # remaining on this port cannot move before the link
-                # frees (ready losers) or before min_ready (future
-                # arrivals); an empty port contributes nothing.  The
-                # scalar ``next_active`` below still takes ``now + 1``,
-                # so the executed-cycle schedule is untouched -- the
-                # scalar post-forward rescans this hint skips are
-                # no-ops: every occupied port resolved this scan and
-                # folded its own wake bound.
+                # Entries left on this port cannot move before the link
+                # frees (ready losers, refused ejections) or, with only
+                # future arrivals left, before both the link frees and
+                # the earliest is ready; an empty port adds nothing.
                 if entries:
                     busy = out_busy_until[out_port]
-                    if len(candidates) > 1 or blocked:
-                        # Ready losers (or refused ejections) wait only
-                        # for the link to free.
-                        bound = busy
-                    elif busy > min_ready:
-                        # Only future arrivals remain: nothing can move
-                        # before BOTH the link frees and the earliest
-                        # entry is ready.
+                    if len(candidates) > 1 or blocked or busy > min_ready:
                         bound = busy
                     else:
                         bound = min_ready
-                    if bound < kwake:
-                        kwake = bound
-            # ``next_active`` mirrors the scalar loop's unconditional
-            # overwrite exactly; the kernel hint takes the minimum of
-            # the scan's folded bound and any mid-scan re-lowering.
-            router.next_active = now + 1 if forwarded else wake
-            if kwake < router.kwake:
-                router.kwake = kwake
-            router.kblocked = kblocked_new
+                    if bound < wake:
+                        wake = bound
+            if wake < router.next_active:
+                router.next_active = wake
+            router.kblocked = blocked_on_bank
 
     def _route_cycle_reference(self, now: int) -> None:
         """Dense reference loop: poll every router and port each cycle.
@@ -701,8 +549,6 @@ class Network:
                 t = now + pkt.flits
                 if t < up.next_active:
                     up.next_active = t
-                if t < up.kwake:
-                    up.kwake = t
 
         trace = self.trace
         combiner = self._combiner_at[(node << 3) | out_port]
@@ -791,23 +637,16 @@ class Network:
         downstream.n_flits += pkt.flits
         if ready_at < downstream.next_active:
             downstream.next_active = ready_at
-        if ready_at < downstream.kwake:
-            downstream.kwake = ready_at
         # The accept consumed a downstream VC, which can flip the
-        # bank-aware arbiter's VC-pressure release.  The dense loop sees
-        # that this very cycle when the downstream router is scanned
-        # after this one (higher node id), else the next cycle.
+        # bank-aware arbiter's VC-pressure release of a port parked
+        # there.  The dense loop sees that this very cycle when the
+        # downstream router is scanned after this one (higher node id),
+        # else the next cycle.  Without a parked port the ``ready_at``
+        # fold above already bounds the next real action.
         t = now if down_node > node else now + 1
-        if t < downstream.next_active:
-            downstream.next_active = t
-        # Kernel hint: the pressure flip only matters where a parked
-        # arbitration could be released by it; everywhere else the
-        # ``ready_at`` fold above already bounds the next real action
-        # (ready candidates are never idle without a pending wake, and
-        # the scan a pressure poke forces is a provable no-op there).
-        if t < downstream.kwake and (
+        if t < downstream.next_active and (
                 self._parked_mask >> (down_node << 3)) & 0x7F:
-            downstream.kwake = t
+            downstream.next_active = t
         self._active_routers.add(down_node)
         if router.n_resident == 0:
             self._active_routers.discard(node)
@@ -817,12 +656,24 @@ class Network:
     # ------------------------------------------------------------------
 
     def poke_router(self, node: int, cycle: int) -> None:
-        """Lower a router's wake hint (estimate changes, bank dequeues)."""
+        """Lower a router's wake hint (estimate changes, fault remaps)."""
         router = self.routers[node]
         if cycle < router.next_active:
             router.next_active = cycle
-        if cycle < router.kwake:
-            router.kwake = cycle
+
+    def poke_parked(self, now: int) -> None:
+        """Re-arm every router holding a parked port for ``now`` (the
+        arbiter's parent/child map changed under the parked decision)."""
+        for node, _port in self._parked:
+            self.poke_router(node, now)
+
+    def on_bank_dequeue(self, node: int, now: int) -> None:
+        """The bank queue at ``node`` popped: queue space is the whole
+        refusal predicate there (``register_sink(bank_queue=True)``),
+        so a router asleep on it may eject from the next cycle on."""
+        router = self.routers[node]
+        if router.kblocked and now + 1 < router.next_active:
+            router.next_active = now + 1
 
     def next_event_cycle(self, now: int) -> int:
         """Lower bound (> ``now``) on the next cycle the network can act.
@@ -834,30 +685,12 @@ class Network:
         if period is not None:
             nxt = now + period - now % period
         routers = self.routers
-        if self._kern is not None:
-            # Kernel mode: the private wake hint bounds the next cycle a
-            # scan could change state, so the event scheduler skips the
-            # dense ``now + 1`` re-arms entirely (a blocked router sleeps
-            # until its bank's dequeue poke, a post-forward router until
-            # its link frees).  Soundness: every event that could enable
-            # earlier progress lowers ``kwake`` at the same dual-write
-            # sites that lower ``next_active``, and the scans (hence
-            # steps) this skips are provable no-ops, so simulated state
-            # and all counters are untouched -- only ``executed_cycles``
-            # shrinks.
-            for node in self._active_routers:
-                router = routers[node]
-                if router.n_resident:
-                    t = router.kwake
-                    if t < nxt:
-                        nxt = t
-        else:
-            for node in self._active_routers:
-                router = routers[node]
-                if router.n_resident:
-                    t = router.next_active
-                    if t < nxt:
-                        nxt = t
+        for node in self._active_routers:
+            router = routers[node]
+            if router.n_resident:
+                t = router.next_active
+                if t < nxt:
+                    nxt = t
         for node in self._nonempty_sources:
             queue = self.source_queues[node]
             if not queue:

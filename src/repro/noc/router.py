@@ -57,8 +57,7 @@ class Router:
     __slots__ = (
         "node", "n_vcs", "vc_pkt", "vc_free_at", "out_busy_until",
         "out_entries", "port_mask", "n_resident", "n_flits",
-        "link_busy_until", "next_active", "_entry_pool", "kwake",
-        "kblocked",
+        "link_busy_until", "next_active", "kblocked", "_entry_pool",
     )
 
     def __init__(self, node: int, n_vcs: int):
@@ -84,18 +83,13 @@ class Router:
         self.n_flits = 0
         #: earliest cycle any entry here could possibly move (lower bound)
         self.next_active = 0
+        #: True while the router sleeps awaiting space in its node's bank
+        #: queue: the last scan's only ready LOCAL work was refused by it,
+        #: and the bank's dequeue notification re-arms ``next_active``
+        #: (see ``Network.on_bank_dequeue``)
+        self.kblocked = False
         #: recycled entry lists (allocation pooling for the hot loop)
         self._entry_pool: List[list] = []
-        #: kernel-mode wake hint (see ``Network._route_cycle_kernel``).
-        #: Unlike ``next_active`` it is *not* escalated to ``now + 1`` on
-        #: a flow-control refusal -- the refusing bank is recorded in
-        #: ``kblocked`` instead and the kernel loop polls its queue depth
-        #: directly, so blocked routers sleep instead of rescanning.
-        #: Maintained (lowered) at every site that lowers ``next_active``.
-        self.kwake = 0
-        #: the BankController whose full queue refused a ready LOCAL
-        #: candidate on the last kernel scan, or None
-        self.kblocked = None
 
     # ------------------------------------------------------------------
 
@@ -167,8 +161,6 @@ class Router:
         self.n_flits += pkt.flits
         if arrival < self.next_active:
             self.next_active = arrival
-        if arrival < self.kwake:
-            self.kwake = arrival
 
     def remove_entry_at(self, out_port: int, index: int, now: int) -> None:
         """Unpark the entry at ``index`` of an output queue and free its

@@ -2,8 +2,8 @@
 
 Perf regressions are only diagnosable after the fact if the facts were
 written down.  Every ``run_sweep`` appends one schema-versioned record
--- spec digest, backend, worker count, cache behaviour, wall time, span
-rollups and host info -- to ``~/.cache/repro-sweeps/ledger.jsonl``
+-- spec digest, worker count, cache behaviour, wall time, span rollups
+and host info -- to ``~/.cache/repro-sweeps/ledger.jsonl``
 (same root as the result cache; ``$REPRO_LEDGER_DIR`` overrides,
 ``REPRO_LEDGER=0`` disables).
 
@@ -34,8 +34,11 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Bumped when the record layout changes incompatibly.
-LEDGER_SCHEMA_VERSION = 1
+#: Bumped when the record layout changes.  Schema 1 records also carry
+#: ``backend`` (and, for batch runs, ``lane_groups``/``lanes_packed``/
+#: ``scalar_fallbacks``); they still validate, list and diff, because
+#: extra fields are ignored.
+LEDGER_SCHEMA_VERSION = 2
 
 #: Default number of records kept by rotation.
 DEFAULT_MAX_ENTRIES = 200
@@ -51,7 +54,6 @@ REQUIRED_FIELDS: Dict[str, tuple] = {
     "ts": (int, float),
     "spec_digest": (str,),
     "fingerprint": (str,),
-    "backend": (str,),
     "workers": (int,),
     "points": (int,),
     "cache_hits": (int,),
@@ -133,7 +135,6 @@ def build_record(grid_spec: Dict, fingerprint: str, stats,
         "spec_digest": spec_digest,
         "grid": grid_spec,
         "fingerprint": fingerprint[:16],
-        "backend": stats.backend,
         "workers": stats.workers,
         "points": stats.points,
         "cache_hits": stats.cache_hits,
@@ -153,10 +154,6 @@ def build_record(grid_spec: Dict, fingerprint: str, stats,
             "platform": sys.platform,
         },
     }
-    if stats.backend == "batch":
-        record["lane_groups"] = stats.lane_groups
-        record["lanes_packed"] = stats.lanes_packed
-        record["scalar_fallbacks"] = stats.scalar_fallbacks
     return record
 
 
@@ -257,26 +254,31 @@ class RunLedger:
     # ------------------------------------------------------------------
 
     def resolve(self, ref: str) -> Dict:
-        """A record by run-id prefix or signed index (``-1`` = newest)."""
+        """A record by signed index (``-1`` = newest) or run-id prefix.
+
+        A ref that parses as an in-range index is an index; any other
+        ref, including an all-digit run-id prefix such as ``"875491"``,
+        is matched as a prefix.
+        """
         records = self.entries()
         if not records:
             raise LookupError(f"ledger {self.path} holds no runs")
         try:
             index = int(ref)
         except ValueError:
-            matches = [r for r in records
-                       if r["run_id"].startswith(ref)]
-            if len(matches) == 1:
-                return matches[0]
-            raise LookupError(
-                f"run id {ref!r} matches {len(matches)} ledger records"
-            )
-        try:
+            index = None
+        if index is not None and -len(records) <= index < len(records):
             return records[index]
-        except IndexError:
+        matches = [r for r in records if r["run_id"].startswith(ref)]
+        if len(matches) == 1:
+            return matches[0]
+        if index is not None and not matches:
             raise LookupError(
                 f"index {index} out of range for {len(records)} records"
             )
+        raise LookupError(
+            f"run id {ref!r} matches {len(matches)} ledger records"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +295,6 @@ def record_from_bench(payload: Dict, path: str) -> Dict:
         raise LookupError(f"{path} has no sweep_throughput section")
     return {
         "run_id": f"bench:{os.path.basename(path)}",
-        "backend": sweep.get("backend", "scalar"),
         "workers": sweep.get("workers", 1),
         "points": sweep.get("points", 0),
         "wall_seconds": (
@@ -330,11 +331,9 @@ def diff_records(a: Dict, b: Dict,
     lines: List[str] = []
     failures: List[str] = []
     lines.append(f"baseline A: {a.get('run_id', '?')} "
-                 f"(backend={a.get('backend')}, workers={a.get('workers')}, "
-                 f"points={a.get('points')})")
+                 f"(workers={a.get('workers')}, points={a.get('points')})")
     lines.append(f"candidate B: {b.get('run_id', '?')} "
-                 f"(backend={b.get('backend')}, workers={b.get('workers')}, "
-                 f"points={b.get('points')})")
+                 f"(workers={b.get('workers')}, points={b.get('points')})")
     lines.append(f"{'metric':<22} {'A':>12} {'B':>12} {'delta':>9}")
     for field, lower_better in _DIFF_FIELDS:
         va, vb = a.get(field), b.get(field)
@@ -378,15 +377,15 @@ def diff_records(a: Dict, b: Dict,
 def format_entries(records: Sequence[Dict]) -> str:
     """Aligned listing for ``repro.cli ledger``."""
     lines = [
-        f"{'run_id':<13} {'when':<20} {'backend':<7} {'wkrs':>4} "
+        f"{'run_id':<13} {'when':<20} {'wkrs':>4} "
         f"{'points':>6} {'hits':>5} {'sim':>5} {'wall_s':>8} {'pts/s':>8}"
     ]
     for record in records:
         when = time.strftime("%Y-%m-%d %H:%M:%S",
                              time.localtime(record["ts"]))
         lines.append(
-            f"{record['run_id']:<13} {when:<20} {record['backend']:<7} "
-            f"{record['workers']:>4} {record['points']:>6} "
+            f"{record['run_id']:<13} {when:<20} {record['workers']:>4} "
+            f"{record['points']:>6} "
             f"{record['cache_hits']:>5} {record['simulated']:>5} "
             f"{record['wall_seconds']:>8.2f} "
             f"{record['points_per_sec']:>8.2f}"

@@ -2,10 +2,10 @@
 
 ``repro.obs`` (events, metrics, sampler) sees *inside one simulation*;
 this module observes the orchestration layers above it -- the sweep
-engine, the process pool and the execution backends -- and answers the
-questions the per-simulation stream cannot: where did a sweep spend its
-wall time, which worker is the straggler, how much of a lane group went
-to tape building versus lockstep execution.
+engine and the process pool -- and answers the questions the
+per-simulation stream cannot: where did a sweep spend its wall time,
+which worker is the straggler, how much of a point went to set-up
+versus simulation.
 
 Three cooperating pieces:
 
@@ -39,12 +39,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Span names the sweep engine and backends emit.  Documented here (and
-#: in DESIGN.md) so trace consumers can rely on the taxonomy:
+#: Span names the sweep engine emits.  Documented here (and in
+#: DESIGN.md) so trace consumers can rely on the taxonomy:
 #:
 #: parent side --
 #:   ``sweep.run``        whole ``run_points`` invocation
-#:   ``sweep.plan``       cache scan + lane packing
+#:   ``sweep.plan``       cache scan
 #:   ``sweep.dispatch``   pool fan-out / serial execution window
 #:   ``point.cache_write``  one cache store
 #: worker side --
@@ -52,23 +52,9 @@ from repro.obs.metrics import MetricsRegistry
 #:   ``chunk.run``        whole chunk in the worker
 #:   ``engine.setup``     config + workload + simulator construction
 #:   ``engine.simulate``  the measured simulation itself
-#: batch backend --
-#:   ``batch.lane_build`` lane construction incl. tape building
-#:   ``batch.warmup`` / ``batch.measure``  lockstep phases
-#:   ``batch.collect``    per-lane result collection
-#:   ``batch.gc_reenable``  deferred collection when the group ends
-#:   ``batch.scalar_fallback``  a point the packer sent to the scalar path
-#:   ``batch.kernel_step``  one lockstep slice of a kernel-attached lane
-#:   ``batch.scalar_sync``  one scalar-machine slice of a diverged lane
-#:   ``batch.bank_kernel``  group attach: bank-seam wiring (hooks + SoA)
-#:   ``batch.core_kernel``  group attach: core/scheduler-seam wiring
 SPAN_NAMES: Tuple[str, ...] = (
     "sweep.run", "sweep.plan", "sweep.dispatch", "point.cache_write",
     "chunk.queue_wait", "chunk.run", "engine.setup", "engine.simulate",
-    "batch.lane_build", "batch.warmup", "batch.measure", "batch.collect",
-    "batch.gc_reenable", "batch.scalar_fallback",
-    "batch.kernel_step", "batch.scalar_sync",
-    "batch.bank_kernel", "batch.core_kernel",
 )
 
 

@@ -307,6 +307,9 @@ class FaultPlane:
         refresh = getattr(arbiter, "refresh_topology", None)
         if refresh is not None:
             refresh()
+        # Parked arbitrations were decided under the old parent/child
+        # map; the dense loop re-decides them this cycle.
+        self.network.poke_parked(now)
         rerouted = self._reroute_inflight(failed_core_node, now)
         self.packets_rerouted += rerouted
         trace = self.network.trace
@@ -373,7 +376,9 @@ class FaultPlane:
                     router.port_mask &= ~(1 << out_port)
                 router.out_entries[new_port].append(entry)
                 router.port_mask |= 1 << new_port
-            net.poke_router(node, now + 1)
+            # Faults fire before the network steps, so the dense loop
+            # may forward a moved entry this very cycle.
+            net.poke_router(node, now)
             net._active_routers.add(node)
         return count
 

@@ -41,13 +41,14 @@ exposed on the command line as ``python -m repro.cli sweep``.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import enum
 import hashlib
 import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -348,19 +349,29 @@ def simulate_point(spec: SweepPoint, recorder=None) -> Dict:
 
     Top-level (hence picklable under the ``spawn`` start method) and
     hermetic: the result depends only on ``spec``, never on what ran
-    earlier in the process.  Delegates to the ``scalar`` execution
-    backend (:mod:`repro.engine`) -- the reference path every other
-    backend is certified byte-identical against.  ``recorder`` (a
+    earlier in the process.  ``recorder`` (a
     :class:`~repro.obs.telemetry.SpanRecorder`) splits the run into
     ``engine.setup``/``engine.simulate`` spans; it observes wall time
     only and never alters the summary.
     """
-    from repro.engine.base import ScalarEngine
-    from repro.engine.spec import EngineSpec
+    from repro.sim import reset_state
+    from repro.sim.config import make_config
+    from repro.sim.experiment import app_factory
+    from repro.sim.simulator import CMPSimulator
 
-    engine = ScalarEngine()
-    engine.recorder = recorder
-    return engine.run_one(EngineSpec.from_point(spec))
+    def span(name: str):
+        if recorder is None:
+            return contextlib.nullcontext()
+        return recorder.span(name, app=spec.app, scheme=spec.scheme.value)
+
+    with span("engine.setup"):
+        reset_state()
+        config = make_config(spec.scheme, **spec.overrides_dict())
+        workload = app_factory(spec.app, seed=spec.seed)(config)
+        sim = CMPSimulator(config, workload)
+    with span("engine.simulate"):
+        result = sim.run(spec.cycles, warmup=spec.warmup)
+    return result.to_dict()
 
 
 def _simulate_chunk(specs: Sequence[SweepPoint], telemetry: bool = False,
@@ -394,40 +405,6 @@ def _simulate_chunk(specs: Sequence[SweepPoint], telemetry: bool = False,
             "telemetry": tel.export() if tel is not None else None}
 
 
-def _simulate_batch_group(specs: Sequence[SweepPoint], max_width: int,
-                          telemetry: bool = False,
-                          submit_ts: Optional[float] = None) -> Dict:
-    """Worker entry point for one lockstep lane group.
-
-    Same payload shape as :func:`_simulate_chunk`, so the pool-side
-    result handling is backend-agnostic; the lockstep run does not
-    attribute wall time per lane, so the group's wall is split evenly.
-    The batch engine contributes its own sub-spans (lane build, warmup,
-    measure, collect, GC re-enable) through the shared recorder.
-    """
-    from repro.engine.base import get_engine
-    from repro.engine.spec import EngineSpec
-
-    tel = WorkerTelemetry(submit_ts=submit_ts) if telemetry else None
-    engine = get_engine("batch", max_width=max_width)
-    if tel is not None:
-        engine.recorder = tel.recorder
-    t_chunk = time.monotonic()
-    t0 = time.perf_counter()
-    results = engine.run_group(
-        [EngineSpec.from_point(spec) for spec in specs])
-    wall_ms = (time.perf_counter() - t0) * 1e3 / len(specs)
-    if tel is not None:
-        for _ in results:
-            tel.point_done(wall_ms)
-        tel.recorder.add("chunk.run", t_chunk,
-                         time.monotonic() - t_chunk,
-                         points=len(specs), lanes=len(specs))
-    return {"rows": [{"result": result, "wall_ms": wall_ms}
-                     for result in results],
-            "telemetry": tel.export() if tel is not None else None}
-
-
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
@@ -454,20 +431,6 @@ class SweepRunStats:
     resumed_points: int = 0
     #: corrupt cache entries evicted during this run
     cache_evictions: int = 0
-    #: execution backend the simulated points ran on
-    backend: str = "scalar"
-    #: batch backend only: lockstep lane groups run / lanes packed into
-    #: them / points that fell back to the scalar engine
-    lane_groups: int = 0
-    lanes_packed: int = 0
-    scalar_fallbacks: int = 0
-    #: balanced packing vs naive input-order chunking (negative
-    #: fallback delta = lanes rescued from the scalar path)
-    pack_groups_delta: int = 0
-    pack_fallbacks_delta: int = 0
-    #: lane-signature bucket sizes from packing, largest first
-    #: (diagnostic: explains why zero groups packed under --strict)
-    pack_signature_buckets: List[int] = field(default_factory=list)
 
     @property
     def points_per_sec(self) -> float:
@@ -493,13 +456,6 @@ class SweepRunStats:
             "worker_crashes": self.worker_crashes,
             "resumed_points": self.resumed_points,
             "cache_evictions": self.cache_evictions,
-            "backend": self.backend,
-            "lane_groups": self.lane_groups,
-            "lanes_packed": self.lanes_packed,
-            "scalar_fallbacks": self.scalar_fallbacks,
-            "pack_groups_delta": self.pack_groups_delta,
-            "pack_fallbacks_delta": self.pack_fallbacks_delta,
-            "pack_signature_buckets": list(self.pack_signature_buckets),
             "workers": self.workers,
             "chunks": self.chunks,
             "wall_seconds": self.wall_seconds,
@@ -550,8 +506,6 @@ def run_points(
     checkpoint_every: int = 1,
     max_retries: int = 2,
     retry_backoff: float = 0.25,
-    backend: str = "scalar",
-    batch_width: Optional[int] = None,
     telemetry: Optional[SweepTelemetry] = None,
 ) -> Dict[str, Dict]:
     """Resolve every spec to a summary dict, keyed by content address.
@@ -569,16 +523,6 @@ def run_points(
     finishes.  The returned mapping is insertion-ordered by first
     occurrence in ``specs`` and independent of completion order.
 
-    ``backend`` selects the execution engine (:mod:`repro.engine`):
-    ``"scalar"`` simulates one point at a time; ``"batch"`` packs up to
-    ``batch_width`` signature-compatible points into lockstep lane
-    groups (incompatible or leftover singleton points fall back to the
-    scalar engine and are counted in ``stats.scalar_fallbacks``).  The
-    backends are byte-identical per point, so cache keys, checkpoints
-    and fingerprints never depend on the backend or the width;
-    ``"batch"`` without numpy installed raises a typed
-    :class:`~repro.errors.BackendUnavailableError`.
-
     ``telemetry`` (a :class:`~repro.obs.telemetry.SweepTelemetry`)
     turns on the sweep-scoped telemetry plane: cross-worker span
     recording, per-worker metric snapshots merged into one registry,
@@ -586,24 +530,13 @@ def run_points(
     never alters results, cache keys or completion order -- so a
     telemetry-on run is byte-identical to a telemetry-off one.
     """
-    from repro.engine.batch import DEFAULT_MAX_WIDTH, pack_lanes
-    from repro.engine.spec import EngineSpec
-
     stats = stats if stats is not None else SweepRunStats()
     stats.workers = resolve_workers(workers)
-    stats.backend = backend
     if max_retries < 0:
         raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
     if retry_backoff < 0:
         raise ConfigError(
             f"retry_backoff must be >= 0, got {retry_backoff}")
-    width = batch_width if batch_width is not None else DEFAULT_MAX_WIDTH
-    if backend != "scalar":
-        # Validates the backend name, the width, and (for "batch")
-        # numpy availability -- before any simulation starts.
-        from repro.engine.base import get_engine
-
-        get_engine(backend, max_width=width)
     tel = telemetry
     # Parent-as-worker telemetry bundle: serial execution and pool
     # retries simulate in this process; their spans and per-point
@@ -676,25 +609,6 @@ def run_points(
         else:
             misses.append(key)
     stats.cache_misses = len(misses)
-
-    # Lane planning: under the batch backend, group signature-compatible
-    # misses into lockstep lane groups; everything else (and the whole
-    # miss list under the scalar backend) runs through the scalar path.
-    group_keys: List[List[str]] = []
-    scalar_keys: List[str] = list(misses)
-    if backend == "batch" and misses:
-        lane_specs = [EngineSpec.from_point(spec_of_key[k]) for k in misses]
-        pack_report: Dict = {}
-        groups, fallbacks = pack_lanes(lane_specs, width,
-                                       deltas=pack_report)
-        group_keys = [[misses[i] for i in group] for group in groups]
-        scalar_keys = [misses[i] for i in fallbacks]
-        stats.lane_groups = len(group_keys)
-        stats.lanes_packed = sum(len(g) for g in group_keys)
-        stats.scalar_fallbacks = len(scalar_keys)
-        stats.pack_groups_delta = pack_report["pack_groups_delta"]
-        stats.pack_fallbacks_delta = pack_report["pack_fallbacks_delta"]
-        stats.pack_signature_buckets = pack_report["signature_buckets"]
     if tel is not None:
         tel.recorder.add("sweep.plan", t_plan, time.monotonic() - t_plan,
                          points=stats.points, misses=len(misses))
@@ -730,54 +644,20 @@ def run_points(
                 if retry_backoff > 0:
                     time.sleep(retry_backoff * (2 ** (attempt - 1)))
 
-    def run_group_serially(keys: Sequence[str]) -> None:
-        payload = _simulate_batch_group(
-            tuple(spec_of_key[k] for k in keys), width,
-            telemetry=tel is not None)
-        worker_pid = None
-        if tel is not None and payload["telemetry"] is not None:
-            worker_pid = payload["telemetry"]["pid"]
-            tel.absorb(payload["telemetry"])
-        for key, row in zip(keys, payload["rows"]):
-            stats.simulated += 1
-            stats.busy_seconds += row["wall_ms"] / 1e3
-            cache_put(key, row["result"])
-            finish(key, row["result"], row["wall_ms"], worker=worker_pid)
-
-    def run_group_with_fallback(keys: Sequence[str]) -> None:
-        """One lane group; on any failure, unfinished lanes re-run
-        through the scalar path (byte-identical by contract), where a
-        genuine simulation bug reproduces with a readable traceback."""
-        try:
-            run_group_serially(keys)
-        except Exception:
-            for key in keys:
-                if results[key] is None:
-                    stats.retried += 1
-                    run_with_retries(key)
-
     def run_pool() -> None:
-        # One task per lane group, plus the scalar keys chunked at ~4
-        # chunks per worker -- load-balanced while amortising
+        # ~4 chunks per worker: load-balanced while amortising
         # pickling/IPC over several points per round-trip.
         # Telemetry-off keeps the historical task arity so test stubs
         # (and any external monkeypatching) see unchanged signatures.
         want_tel = tel is not None
         tel_args = (True,) if want_tel else ()
+        chunk_size = max(1, len(misses) // (stats.workers * 4))
         tasks: List[Tuple] = [
-            (_simulate_batch_group,
-             (tuple(spec_of_key[k] for k in keys), width) + tel_args,
-             tuple(keys))
-            for keys in group_keys
+            (_simulate_chunk,
+             (tuple(spec_of_key[k] for k in chunk),) + tel_args,
+             chunk)
+            for chunk in _chunked(misses, chunk_size)
         ]
-        if scalar_keys:
-            chunk_size = max(1, len(scalar_keys) // (stats.workers * 4))
-            tasks.extend(
-                (_simulate_chunk,
-                 (tuple(spec_of_key[k] for k in chunk),) + tel_args,
-                 chunk)
-                for chunk in _chunked(scalar_keys, chunk_size)
-            )
         stats.chunks = len(tasks)
         retry: List[str] = []
         # The overall deadline is the sum of the per-point budgets: the
@@ -842,9 +722,7 @@ def run_points(
     t_dispatch = time.monotonic()
     try:
         if stats.workers <= 1 or len(misses) <= 1:
-            for keys in group_keys:
-                run_group_with_fallback(keys)
-            for key in scalar_keys:
+            for key in misses:
                 run_with_retries(key)
         else:
             run_pool()
@@ -873,13 +751,6 @@ def run_points(
         reg.gauge("sweep.workers").set(stats.workers)
         reg.gauge("sweep.utilization").set(stats.utilization)
         reg.gauge("sweep.points_per_sec").set(stats.points_per_sec)
-        if backend == "batch":
-            reg.counter("sweep.backend.lanes").inc(stats.lanes_packed)
-            reg.counter("sweep.backend.groups").inc(stats.lane_groups)
-            reg.counter("sweep.backend.scalar_fallback").inc(
-                stats.scalar_fallbacks)
-            for keys in group_keys:
-                reg.histogram("sweep.backend.width").observe(len(keys))
 
     if metrics is not None:
         mirror_stats(metrics)
@@ -897,6 +768,6 @@ def run_points(
         for pid in tel.workers():
             active.set(1, label=f"w{pid}")
         tel.recorder.add("sweep.run", t_mono, stats.wall_seconds,
-                         points=stats.points, backend=backend)
+                         points=stats.points)
         tel.finish()
     return results

@@ -64,24 +64,6 @@ SWEEP_BENCH_WORKERS = 4
 #: this floor means the cache path regressed badly.
 SWEEP_WARM_FLOOR = 10.0
 
-#: batch-sweep-throughput benchmark (see :func:`run_batch_sweep_throughput`).
-#: Lane widths measured for the batch backend; the full six-scheme grid
-#: maximises tape sharing (every scheme of one app shares streams).
-BATCH_BENCH_WIDTHS: Tuple[int, ...] = (4, 8, 16)
-#: Machine-independent floor on the best batch-vs-serial-scalar speedup.
-#: With the full-cycle kernel (:mod:`repro.engine.kernels`) the batch
-#: backend must be a genuine speedup, not merely "not a slowdown" (the
-#: pre-kernel floor was 0.7x, the routing-kernel floor 1.0x).  Measured
-#: best on a single-CPU host is ~1.18-1.24x across runs; the floor sits
-#: under the noise band of the slowest width, not at the aspirational
-#: 1.4x, because the serial-scalar *denominator* shares most of this
-#: codebase's hot-path work -- the ceiling with every batch-only cost
-#: at zero measures ~1.5x (see DESIGN.md, "Full-cycle kernel", for the
-#: breakdown).  The 3x target applies to future cross-lane SoA work
-#: and is recorded, not gated.
-BATCH_SWEEP_FLOOR = 1.1
-BATCH_TARGET_SPEEDUP = 3.0
-
 #: telemetry-overhead benchmark: the pure-reader target is <= 3%
 #: points/sec overhead with full span/metric recording on.  The CI
 #: regression gate allows a looser ceiling so one noisy run does not
@@ -190,7 +172,7 @@ def run_one(label: str, scheme: Scheme, overrides: Dict, scheduler: str,
 def run_perf(cycles: int = 30_000, warmup: int = 2_000, seed: int = 1,
              repeats: int = 3,
              labels: Optional[Tuple[str, ...]] = None,
-             sweep: bool = True, backend: str = "scalar") -> Dict:
+             sweep: bool = True) -> Dict:
     """Run the full benchmark matrix and return the report dict.
 
     Every config runs under both schedulers; the two ``SimulationResult``
@@ -247,17 +229,14 @@ def run_perf(cycles: int = 30_000, warmup: int = 2_000, seed: int = 1,
             "fingerprint": _result_fingerprint(event["result"]),
         }
     if sweep:
-        report["sweep_throughput"] = run_sweep_throughput(
-            seed=seed, backend=backend)
-        report["batch_throughput"] = run_batch_sweep_throughput(seed=seed)
+        report["sweep_throughput"] = run_sweep_throughput(seed=seed)
         report["telemetry_overhead"] = run_telemetry_overhead(seed=seed)
     return report
 
 
 def run_sweep_throughput(cycles: int = 1200, warmup: int = 400,
                          seed: int = 1,
-                         workers: int = SWEEP_BENCH_WORKERS,
-                         backend: str = "scalar") -> Dict:
+                         workers: int = SWEEP_BENCH_WORKERS) -> Dict:
     """Benchmark the sweep engine: serial vs parallel, cold vs warm.
 
     Runs one apps x schemes grid three ways -- serially without a
@@ -282,16 +261,13 @@ def run_sweep_throughput(cycles: int = 1200, warmup: int = 400,
     with tempfile.TemporaryDirectory(prefix="repro-sweep-bench-") as tmp:
         serial_stats = SweepRunStats()
         serial = run_sweep(grid, workers=1, cache=False,
-                           stats=serial_stats, backend=backend,
-                           ledger=False)
+                           stats=serial_stats, ledger=False)
         cold_stats = SweepRunStats()
         cold = run_sweep(grid, workers=workers, cache=True,
-                         cache_dir=tmp, stats=cold_stats, backend=backend,
-                         ledger=False)
+                         cache_dir=tmp, stats=cold_stats, ledger=False)
         warm_stats = SweepRunStats()
         warm = run_sweep(grid, workers=workers, cache=True,
-                         cache_dir=tmp, stats=warm_stats, backend=backend,
-                         ledger=False)
+                         cache_dir=tmp, stats=warm_stats, ledger=False)
 
     identical = (
         serial.fingerprint() == cold.fingerprint() == warm.fingerprint()
@@ -306,7 +282,6 @@ def run_sweep_throughput(cycles: int = 1200, warmup: int = 400,
         "warmup": warmup,
         "seed": seed,
         "workers": workers,
-        "backend": backend,
         "host_cpus": os.cpu_count(),
         "serial_points_per_sec": round(serial_pps, 2),
         "cold_points_per_sec": round(cold_stats.points_per_sec, 2),
@@ -321,87 +296,6 @@ def run_sweep_throughput(cycles: int = 1200, warmup: int = 400,
         "warm_hit_rate": round(warm_stats.hit_rate, 3),
         "identical_results": identical,
         "fingerprint": serial.fingerprint()[:16],
-    }
-
-
-def run_batch_sweep_throughput(cycles: int = 1200, warmup: int = 400,
-                               seed: int = 1,
-                               widths: Tuple[int, ...] = BATCH_BENCH_WIDTHS,
-                               repeats: int = 2) -> Dict:
-    """Benchmark the batch execution backend against serial scalar.
-
-    Runs one apps x all-six-schemes grid serially through the scalar
-    backend, then through the batch backend at each lane width in
-    ``widths`` (``workers=1`` throughout, so the comparison isolates
-    the backend from pool parallelism).  Every batch sweep must be
-    fingerprint-identical to the scalar one -- the backend's bit-
-    identity contract -- and the best width's speedup is gated at
-    :data:`BATCH_SWEEP_FLOOR` (machine-independent: both sides run on
-    the same host).  Without numpy the section records
-    ``{"skipped": ...}`` and the regression gate tolerates it.
-    """
-    from repro.engine import batch_available
-
-    if not batch_available():
-        return {"benchmark": "batch-sweep-throughput",
-                "skipped": "numpy unavailable (pip install repro[batch])"}
-    from repro.sim.config import ALL_SCHEMES
-    from repro.sim.parallel import SweepRunStats
-    from repro.sim.sweep import SweepGrid, run_sweep
-
-    grid = SweepGrid(
-        apps=SWEEP_BENCH_APPS, schemes=ALL_SCHEMES,
-        cycles=cycles, warmup=warmup, seed=seed,
-        overrides=dict(SWEEP_BENCH_OVERRIDES),
-    )
-
-    def best_run(backend: str, width: Optional[int]):
-        best_stats, fingerprint = None, None
-        for _ in range(repeats):
-            stats = SweepRunStats()
-            sweep = run_sweep(grid, workers=1, cache=False, stats=stats,
-                              backend=backend, batch_width=width,
-                              ledger=False)
-            fingerprint = sweep.fingerprint()
-            if (best_stats is None
-                    or stats.wall_seconds < best_stats.wall_seconds):
-                best_stats = stats
-        return best_stats, fingerprint
-
-    serial_stats, serial_fp = best_run("scalar", None)
-    serial_pps = serial_stats.points_per_sec
-    rows = []
-    for width in widths:
-        stats, fp = best_run("batch", width)
-        pps = stats.points_per_sec
-        rows.append({
-            "width": width,
-            "points_per_sec": round(pps, 2),
-            "speedup": round(pps / serial_pps, 3) if serial_pps else 0.0,
-            "lane_groups": stats.lane_groups,
-            "lanes_packed": stats.lanes_packed,
-            "scalar_fallbacks": stats.scalar_fallbacks,
-            "signature_buckets": list(stats.pack_signature_buckets),
-            "identical_results": fp == serial_fp,
-        })
-    best = max(rows, key=lambda r: r["speedup"])
-    return {
-        "benchmark": "batch-sweep-throughput",
-        "apps": list(SWEEP_BENCH_APPS),
-        "schemes": [s.value for s in ALL_SCHEMES],
-        "points": serial_stats.points,
-        "cycles": cycles,
-        "warmup": warmup,
-        "seed": seed,
-        "host_cpus": os.cpu_count(),
-        "serial_points_per_sec": round(serial_pps, 2),
-        "widths": rows,
-        "best_width": best["width"],
-        "best_speedup": best["speedup"],
-        "identical_results": all(r["identical_results"] for r in rows),
-        "target_speedup": BATCH_TARGET_SPEEDUP,
-        "meets_target": best["speedup"] >= BATCH_TARGET_SPEEDUP,
-        "fingerprint": serial_fp[:16],
     }
 
 
@@ -512,8 +406,7 @@ def run_profile(label: str = TARGET_CONFIG, scheduler: str = "event",
     Returns a JSON-serialisable report with the top-``top`` hotspots
     ranked by cumulative and by internal (self) time, so perf PRs can
     cite evidence instead of guessing; ``repro.cli perf --profile``
-    prints it with :func:`format_profile` and dumps the JSON.  For the
-    batch backend's kernel path use :func:`run_batch_profile`.
+    prints it with :func:`format_profile` and dumps the JSON.
     """
     import cProfile
 
@@ -543,71 +436,11 @@ def run_profile(label: str = TARGET_CONFIG, scheduler: str = "event",
     }
 
 
-def run_batch_profile(cycles: int = 1200, warmup: int = 400, seed: int = 1,
-                      top: int = 25, width: int = 16) -> Dict:
-    """Profile the batch backend's kernel path under ``cProfile``.
-
-    Runs the batch-sweep-throughput grid once through the batch backend
-    at ``width`` lanes (``workers=1``, in-process -- cProfile cannot
-    see into pool workers) and reports the same hotspot tables as
-    :func:`run_profile`, so kernel-path perf work cites the vectorized
-    routing cost (``_route_cycle_kernel``, ``GroupKernel``) directly.
-    Raises :class:`ModuleNotFoundError` without numpy.
-    """
-    import cProfile
-
-    from repro.sim.config import ALL_SCHEMES
-    from repro.sim.parallel import SweepRunStats
-    from repro.sim.sweep import SweepGrid, run_sweep
-
-    grid = SweepGrid(
-        apps=SWEEP_BENCH_APPS, schemes=ALL_SCHEMES,
-        cycles=cycles, warmup=warmup, seed=seed,
-        overrides=dict(SWEEP_BENCH_OVERRIDES),
-    )
-    stats = SweepRunStats()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_sweep(grid, workers=1, cache=False, stats=stats,
-              backend="batch", batch_width=width, ledger=False)
-    profiler.disable()
-    by_cumulative, by_self = _profile_hotspots(profiler, top)
-    return {
-        "benchmark": "batch-profile",
-        "label": "batch-sweep",
-        "backend": "batch",
-        "width": width,
-        "points": stats.points,
-        "cycles": cycles,
-        "warmup": warmup,
-        "seed": seed,
-        "top": top,
-        "points_per_sec": round(stats.points_per_sec, 2),
-        "lane_groups": stats.lane_groups,
-        "lanes_packed": stats.lanes_packed,
-        "scalar_fallbacks": stats.scalar_fallbacks,
-        "by_cumulative": by_cumulative,
-        "by_self": by_self,
-    }
-
-
 def format_profile(report: Dict) -> str:
-    if report["benchmark"] == "batch-profile":
-        head = (
-            f"profile: {report['label']} (batch backend, "
-            f"width {report['width']}, {report['points']} pts at "
-            f"{report['points_per_sec']:.2f} pts/s, "
-            f"{report['lane_groups']} groups / "
-            f"{report['scalar_fallbacks']} fallbacks)"
-        )
-    else:
-        head = (
-            f"profile: {report['label']} ({report['scheduler']} scheduler, "
-            f"{report['executed_cycles']}/{report['total_cycles']} cycles "
-            f"executed, {report['cycles_per_sec']:.0f} cyc/s)"
-        )
     lines = [
-        head,
+        f"profile: {report['label']} ({report['scheduler']} scheduler, "
+        f"{report['executed_cycles']}/{report['total_cycles']} cycles "
+        f"executed, {report['cycles_per_sec']:.0f} cyc/s)",
         f"top {report['top']} by cumulative time:",
         f"  {'cumtime':>9s} {'tottime':>9s} {'ncalls':>9s}  function",
     ]
@@ -666,28 +499,6 @@ def check_regression(current: Dict, baseline: Dict,
                 f"{sweep.get('warm_speedup', 0.0):.1f}x fell below the "
                 f"{SWEEP_WARM_FLOOR:.0f}x floor"
             )
-    batch = current.get("batch_throughput")
-    if batch is not None and "skipped" not in batch:
-        # Identity is absolute -- mandatory at every measured width,
-        # failures name the width; the speedup floor compares two
-        # same-host runs, so it transfers across machines.
-        for row in batch.get("widths", ()):
-            if not row.get("identical_results"):
-                failures.append(
-                    f"batch-sweep-throughput: width {row.get('width')} "
-                    "batch/scalar result drift (identity is mandatory)"
-                )
-        if not batch.get("identical_results") and not batch.get("widths"):
-            failures.append(
-                "batch-sweep-throughput: batch/scalar result drift"
-            )
-        if batch.get("best_speedup", 0.0) < BATCH_SWEEP_FLOOR:
-            failures.append(
-                f"batch-sweep-throughput: best speedup "
-                f"{batch.get('best_speedup', 0.0):.2f}x "
-                f"(width {batch.get('best_width')}) fell below the "
-                f"{BATCH_SWEEP_FLOOR:.1f}x floor"
-            )
     tel = current.get("telemetry_overhead")
     if tel is not None:
         # The pure-reader identity is absolute; the overhead gate uses
@@ -737,23 +548,6 @@ def format_report(report: Dict) -> str:
             f"({sweep['warm_speedup']:.2f}x), "
             f"identical={sweep['identical_results']}"
         )
-    batch = report.get("batch_throughput")
-    if batch is not None:
-        if "skipped" in batch:
-            lines.append(f"batch-sweep-throughput: {batch['skipped']}")
-        else:
-            per_width = ", ".join(
-                f"w{row['width']} {row['speedup']:.2f}x"
-                for row in batch["widths"]
-            )
-            lines.append(
-                f"batch-sweep-throughput ({batch['points']} pts, "
-                f"{batch['host_cpus']} cpus): serial "
-                f"{batch['serial_points_per_sec']:.2f} pts/s; {per_width}; "
-                f"best w{batch['best_width']} "
-                f"{batch['best_speedup']:.2f}x, "
-                f"identical={batch['identical_results']}"
-            )
     tel = report.get("telemetry_overhead")
     if tel is not None:
         lines.append(

@@ -11,7 +11,7 @@ cycle by cycle:
 
 from __future__ import annotations
 
-import heapq
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.cache.bank import BankController
@@ -61,11 +61,6 @@ class CMPSimulator:
         #: attached Observability session (repro.obs), or None -- the
         #: simulator never reads it except at scheduling/run boundaries
         self._obs = None
-        #: batch-backend divergence seam (repro.engine.kernels): while
-        #: ``cycle`` is below this bound the lockstep driver advances
-        #: the lane with the scalar machine even when a vectorized
-        #: kernel is attached, then re-synchronizes.  0 on plain runs.
-        self.force_scalar_until = 0
 
         self.topo = Mesh3D(config.mesh_width)
         self.region_map = build_region_map(config, self.topo)
@@ -95,12 +90,16 @@ class CMPSimulator:
         self._active_banks = set(range(config.n_banks))
         self._active_mcs = set()
         self._active_cores = set(range(n))
-        #: core_id -> [CORE_* status, last stepped cycle, wake-at cycle]
-        self._core_sleep: Dict[int, list] = {}
-        #: min-heap of (wake_at, core_id) for timed (gap) sleepers;
-        #: entries go stale when a core is woken early -- validated
-        #: lazily against ``_core_sleep`` when popped.
-        self._wake_heap: List[tuple] = []
+        #: per-core sleep state, indexed by core id: the ``CORE_*``
+        #: status a sleeping core parked with (-1 while awake), the
+        #: cycle it last stepped (its lazy-accrual basis) and its timed
+        #: wake cycle (NEVER unless a gap sleeper)
+        self._core_state: List[int] = [-1] * n
+        self._core_slept: List[int] = [0] * n
+        self._core_wake: List[int] = [NEVER] * n
+        #: cached minimum of ``_core_wake``, kept stale-low: never above
+        #: the true minimum, recomputed exactly whenever it comes due
+        self._min_wake = NEVER
         #: diagnostic: cycles actually executed (vs skipped) by the
         #: event scheduler; equals ``self.cycle`` advancement in dense.
         self.executed_cycles = 0
@@ -141,7 +140,10 @@ class CMPSimulator:
             self.network.register_sink(
                 node, self._make_bank_sink(b),
                 flow_control=self._make_bank_flow_control(b),
+                bank_queue=True,
             )
+            self.banks[b].on_dequeue = partial(
+                self.network.on_bank_dequeue, node)
 
         if prewarm:
             self.prewarm()
@@ -369,12 +371,17 @@ class CMPSimulator:
             self._wake_core(core_id, now)
 
     def _wake_core(self, core_id: int, now: int) -> None:
-        state = self._core_sleep.pop(core_id, None)
-        if state is None:
+        state = self._core_state
+        status = state[core_id]
+        if status < 0:
             return
-        skipped = now - 1 - state[1]
+        skipped = now - 1 - self._core_slept[core_id]
         if skipped > 0:
-            self._accrue_core(core_id, state[0], skipped)
+            self._accrue_core(core_id, status, skipped)
+        state[core_id] = -1
+        # Raising a wake only raises the true minimum: ``_min_wake``
+        # stays a valid stale-low bound.
+        self._core_wake[core_id] = NEVER
         self._active_cores.add(core_id)
 
     def _accrue_core(self, core_id: int, status: int, k: int) -> None:
@@ -397,92 +404,6 @@ class CMPSimulator:
             core.stats.mshr_stall_cycles += k
             core.mshrs.full_stalls += k
 
-    def _event_step(self, now: int) -> None:
-        """One executed cycle in dense component order, active sets only."""
-        faults = self.fault_plane
-        if faults is not None:
-            faults.on_cycle(now)
-        self.network.step(now)
-        heap = self._wake_heap
-        sleep = self._core_sleep
-        while heap and heap[0][0] <= now:
-            wake, cid = heapq.heappop(heap)
-            state = sleep.get(cid)
-            if state is not None and state[2] == wake:
-                self._wake_core(cid, now)
-        if self._active_mcs:
-            for i in sorted(self._active_mcs):
-                mc = self.mcs[i]
-                mc.step(now)
-                if mc.idle():
-                    self._active_mcs.discard(i)
-        banks = self.banks
-        for b in sorted(self._active_banks):
-            bank = banks[b]
-            if bank.busy_until > now:
-                continue  # dense step would return immediately
-            bank.step(now)
-            if bank.next_event_cycle(now) == NEVER:
-                self._active_banks.discard(b)
-        cores = self.cores
-        for cid in sorted(self._active_cores):
-            core = cores[cid]
-            status = core.step(now)
-            if status == CORE_RUN:
-                continue
-            if status == CORE_GAP:
-                horizon = core.pure_gap_cycles()
-                if horizon <= 0:
-                    continue
-                wake = now + horizon + 1
-                if wake < NEVER:
-                    heapq.heappush(heap, (wake, cid))
-            else:
-                wake = NEVER  # woken by delivery / NI drain
-            self._active_cores.discard(cid)
-            sleep[cid] = [status, now, wake]
-        guard = self.guard
-        if guard is not None:
-            guard.on_executed_cycle(now)
-
-    def _next_event(self, now: int) -> int:
-        """Lower bound (> ``now``) on the next cycle anything can act."""
-        if self._active_cores:
-            return now + 1
-        nxt = self.network.next_event_cycle(now)
-        for b in self._active_banks:
-            t = self.banks[b].next_event_cycle(now)
-            if t < nxt:
-                nxt = t
-        for i in self._active_mcs:
-            t = self.mcs[i].next_event_cycle(now)
-            if t < nxt:
-                nxt = t
-        heap = self._wake_heap
-        sleep = self._core_sleep
-        while heap:
-            wake, cid = heap[0]
-            state = sleep.get(cid)
-            if state is not None and state[2] == wake:
-                if wake < nxt:
-                    nxt = wake
-                break
-            heapq.heappop(heap)  # stale: core woken early
-        faults = self.fault_plane
-        if faults is not None:
-            t = faults.next_scheduled(now)
-            if t < nxt:
-                nxt = t
-        guard = self.guard
-        if guard is not None:
-            # Execute the watchdog deadline cycle instead of skipping
-            # past it; a spurious wake is a provable no-op for simulated
-            # state, so fingerprints are unaffected.
-            t = guard.wake_bound(now)
-            if t < nxt:
-                nxt = t
-        return nxt if nxt > now else now + 1
-
     def _flush_lazy(self) -> None:
         """Accrue all lazily-deferred counters up to ``self.cycle``.
 
@@ -491,31 +412,175 @@ class CMPSimulator:
         the dense schedule exactly at the observation point.
         """
         boundary = self.cycle
-        for cid, state in self._core_sleep.items():
-            skipped = boundary - 1 - state[1]
+        slept = self._core_slept
+        for cid, status in enumerate(self._core_state):
+            if status < 0:
+                continue
+            skipped = boundary - 1 - slept[cid]
             if skipped > 0:
-                self._accrue_core(cid, state[0], skipped)
-                state[1] = boundary - 1
+                self._accrue_core(cid, status, skipped)
+                slept[cid] = boundary - 1
         self.network.flush_parked(boundary)
 
-    def _run_event(self, n_cycles: int) -> None:
+    def _run_event(self, n_cycles: int,
+                   drain_after: Optional[int] = None) -> bool:
+        """Advance up to ``n_cycles`` cycles on the event schedule.
+
+        Each executed cycle steps the components in dense order --
+        network, timed core wakes, MCs, banks, cores -- but only those
+        in their active sets, and folds the next-event bound while it
+        steps: a busy bank contributes ``busy_until``, an MC its due
+        hint ``kdue``, a sleeping core its timed wake, the network its
+        router hints, source heads and estimator tick.  With no core
+        awake the loop jumps to the minimum, capped by the fault
+        plane's next event and the guard's watchdog deadline.  Every
+        skipped cycle is a provable no-op (DESIGN.md, "Cycle driver").
+
+        ``drain_after`` switches to draining: the first ``drain_after``
+        executed cycles step densely, after which the loop stops at the
+        first quiescent cycle and returns True.
+        """
         if n_cycles <= 0:
-            return
+            return False
         limit = self.cycle + n_cycles
+        draining = drain_after is not None
+        dense_until = drain_after if draining else 0
         obs = self._obs
-        while self.cycle < limit:
-            now = self.cycle
-            if obs is not None:
-                obs.on_executed_cycle(now)
-            self._event_step(now)
-            self.executed_cycles += 1
-            nxt = self._next_event(now)
-            self.cycle = nxt if nxt < limit else limit
-            if obs is not None and self.cycle > now + 1:
-                obs.emit(now, EV_SCHED_SKIP, {
-                    "start": now + 1, "span": self.cycle - now - 1,
-                })
+        faults = self.fault_plane
+        guard = self.guard
+        network = self.network
+        net_next = network.next_event_cycle
+        mcs = self.mcs
+        banks = self.banks
+        cores = self.cores
+        active_mcs = self._active_mcs
+        active_banks = self._active_banks
+        active_cores = self._active_cores
+        state = self._core_state
+        slept = self._core_slept
+        wake = self._core_wake
+        wake_core = self._wake_core
+        never = NEVER
+        min_wake = self._min_wake
+        cycle = self.cycle
+        executed = 0
+        quiesced = False
+        try:
+            while cycle < limit:
+                now = cycle
+                if obs is not None:
+                    obs.on_executed_cycle(now)
+                if faults is not None:
+                    faults.on_cycle(now)
+                network.step(now)
+                if min_wake <= now:
+                    # Timed-wake scan in ascending core id: the wakes'
+                    # accruals are independent and set inserts commute,
+                    # so the order is immaterial; the rescan restores
+                    # the exact minimum.
+                    min_wake = never
+                    for cid, w in enumerate(wake):
+                        if w <= now:
+                            wake_core(cid, now)
+                        elif w < min_wake:
+                            min_wake = w
+                comp_next = never
+                if active_mcs:
+                    for i in sorted(active_mcs):
+                        mc = mcs[i]
+                        d = mc.kdue
+                        if d > now:
+                            # No issue or completion can happen before
+                            # ``kdue`` (arrivals zero it), and the value
+                            # is what ``next_event_cycle`` would return.
+                            if d < comp_next:
+                                comp_next = d
+                            continue
+                        mc.step(now)
+                        d = mc.next_event_cycle(now)
+                        if d >= never:  # NEVER <=> idle()
+                            active_mcs.discard(i)
+                        else:
+                            mc.kdue = d
+                            if d < comp_next:
+                                comp_next = d
+                if active_banks:
+                    for b in sorted(active_banks):
+                        bank = banks[b]
+                        busy = bank.busy_until
+                        if busy > now:
+                            # Dense ``step`` would return at once, and a
+                            # busy bank's ``next_event_cycle`` is this.
+                            if busy < comp_next:
+                                comp_next = busy
+                            continue
+                        bank.step(now)
+                        t = bank.next_event_cycle(now)
+                        if t >= never:
+                            active_banks.discard(b)
+                        elif t < comp_next:
+                            comp_next = t
+                if active_cores:
+                    for cid in sorted(active_cores):
+                        core = cores[cid]
+                        status = core.step(now)
+                        if status == CORE_RUN:
+                            continue
+                        if status == CORE_GAP:
+                            horizon = core.pure_gap_cycles()
+                            if horizon <= 0:
+                                continue
+                            w = now + horizon + 1
+                        else:
+                            w = never  # woken by delivery / NI drain
+                        active_cores.discard(cid)
+                        state[cid] = status
+                        slept[cid] = now
+                        wake[cid] = w
+                        if w < min_wake:
+                            min_wake = w
+                if guard is not None:
+                    guard.on_executed_cycle(now)
+                executed += 1
+                # Quiescence can only change at executed cycles (skipped
+                # ones are no-ops), so one check per step suffices.
+                if draining and executed > dense_until and \
+                        self._quiesced(now + 1):
+                    cycle = now + 1
+                    quiesced = True
+                    break
+                if active_cores or executed <= dense_until:
+                    cycle = now + 1
+                else:
+                    nxt = net_next(now)
+                    if comp_next < nxt:
+                        nxt = comp_next
+                    if min_wake < nxt:
+                        nxt = min_wake
+                    if faults is not None:
+                        t = faults.next_scheduled(now)
+                        if t < nxt:
+                            nxt = t
+                    if guard is not None:
+                        # Execute the watchdog deadline cycle instead of
+                        # skipping past it; a spurious wake is a
+                        # provable no-op for simulated state.
+                        t = guard.wake_bound(now)
+                        if t < nxt:
+                            nxt = t
+                    if nxt <= now:
+                        nxt = now + 1
+                    cycle = nxt if nxt < limit else limit
+                    if obs is not None and cycle > now + 1:
+                        obs.emit(now, EV_SCHED_SKIP, {
+                            "start": now + 1, "span": cycle - now - 1,
+                        })
+        finally:
+            self.cycle = cycle
+            self.executed_cycles += executed
+            self._min_wake = min_wake
         self._flush_lazy()
+        return quiesced
 
     # -- measurement ----------------------------------------------------
 
@@ -586,7 +651,7 @@ class CMPSimulator:
         drain -- this is for scripted/finite workloads.
         """
         if self.scheduler == "event":
-            return self._drain_event(max_cycles, min_cycles)
+            return self._run_event(max_cycles, drain_after=min_cycles)
         for cycle in range(max_cycles):
             self.step()
             if cycle < min_cycles:
@@ -600,38 +665,9 @@ class CMPSimulator:
                 return True
         return False
 
-    def _drain_event(self, max_cycles: int, min_cycles: int) -> bool:
-        end = self.cycle + max_cycles
-        executed = 0
-        obs = self._obs
-        while self.cycle < end:
-            now = self.cycle
-            if obs is not None:
-                obs.on_executed_cycle(now)
-            self._event_step(now)
-            executed += 1
-            self.cycle = now + 1
-            # Quiescence can only change at executed cycles; skipped
-            # cycles are provably no-ops, so one check per step suffices.
-            if executed > min_cycles:
-                if self._quiesced():
-                    self._flush_lazy()
-                    return True
-                nxt = self._next_event(now)
-                if nxt > self.cycle:
-                    self.cycle = nxt if nxt < end else end
-                    if obs is not None and self.cycle > now + 1:
-                        obs.emit(now, EV_SCHED_SKIP, {
-                            "start": now + 1,
-                            "span": self.cycle - now - 1,
-                        })
-        self._flush_lazy()
-        return False
-
-    def _quiesced(self) -> bool:
+    def _quiesced(self, now: int) -> bool:
         if not self.network.quiesced():
             return False
-        now = self.cycle
         # Deactivated banks/MCs are idle by construction.
         return (
             all(self.banks[b].idle(now) for b in self._active_banks)

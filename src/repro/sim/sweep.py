@@ -78,9 +78,8 @@ class SweepResults:
         self.grid_spec = grid_spec
         #: data[app][scheme_label] -> SimulationResult.to_dict()
         self.data = data
-        #: execution metadata (backend, lane packing) -- informational
-        #: only: never part of :meth:`fingerprint` or any cache key,
-        #: because backends are byte-identical per point.
+        #: execution metadata (the telemetry payload) -- informational
+        #: only: never part of :meth:`fingerprint` or any cache key.
         self.meta = dict(meta or {})
 
     # ------------------------------------------------------------------
@@ -155,8 +154,6 @@ def run_sweep(grid: SweepGrid,
               checkpoint_every: int = 1,
               max_retries: int = 2,
               retry_backoff: float = 0.25,
-              backend: str = "scalar",
-              batch_width: Optional[int] = None,
               telemetry=None,
               ledger: Optional[bool] = None,
               ledger_path: Optional[str] = None) -> SweepResults:
@@ -171,11 +168,8 @@ def run_sweep(grid: SweepGrid,
     journals finished points for kill-and-resume, and failed points
     retry up to ``max_retries`` times with exponential backoff.
 
-    ``backend`` selects the execution engine (``"scalar"`` or
-    ``"batch"``; see :mod:`repro.engine`); the chosen backend and its
-    lane packing are recorded in ``SweepResults.meta``.  The resulting
-    ``SweepResults.data`` -- and hence the fingerprint -- is identical
-    in all modes, across worker counts, cache states and backends.
+    The resulting ``SweepResults.data`` -- and hence the fingerprint --
+    is identical in all modes, across worker counts and cache states.
 
     ``telemetry`` accepts a
     :class:`~repro.obs.telemetry.SweepTelemetry`; when given, spans and
@@ -193,7 +187,6 @@ def run_sweep(grid: SweepGrid,
         stats=run_stats,
         checkpoint=checkpoint, checkpoint_every=checkpoint_every,
         max_retries=max_retries, retry_backoff=retry_backoff,
-        backend=backend, batch_width=batch_width,
         telemetry=telemetry,
     )
     data: Dict[str, Dict[str, dict]] = {}
@@ -201,15 +194,7 @@ def run_sweep(grid: SweepGrid,
         data.setdefault(spec.app, {})[spec.scheme.value] = (
             resolved[spec.key()]
         )
-    meta = {"backend": run_stats.backend}
-    if backend == "batch":
-        meta.update(
-            lane_groups=run_stats.lane_groups,
-            lanes_packed=run_stats.lanes_packed,
-            scalar_fallbacks=run_stats.scalar_fallbacks,
-            pack_groups_delta=run_stats.pack_groups_delta,
-            pack_fallbacks_delta=run_stats.pack_fallbacks_delta,
-        )
+    meta = {}
     if telemetry is not None:
         meta["telemetry"] = telemetry.as_meta()
     results = SweepResults(grid.spec_dict(), data, meta=meta)

@@ -81,47 +81,16 @@ def make_stream(spec: BenchmarkSpec, core: int, config: SystemConfig,
     )
 
 
-#: kept under the historical private name for in-tree callers
-_stream_for = make_stream
-
-
-def stream_signature(spec: BenchmarkSpec, core: int, config: SystemConfig,
-                     seed: int) -> tuple:
-    """Equivalence key of :func:`make_stream`'s output.
-
-    Two slots whose signatures match produce bit-identical access
-    sequences, so an execution backend may generate the stream once and
-    replay it (see :mod:`repro.engine.tape`).  The key covers every
-    config input :class:`SyntheticStream` reads -- note
-    ``shared_pool_blocks`` derives from ``l2_bank_bytes`` and therefore
-    differs across cache technologies for shared applications, while
-    private applications are technology-independent.
-    """
-    shared_blocks = _shared_pool_blocks(config) if spec.shared else None
-    return (
-        spec.name, core, seed,
-        config.n_banks, config.block_bytes, config.l1_effective_bytes,
-        config.sram_equivalent_bank_bytes, shared_blocks,
-    )
-
-
-def homogeneous(app: str, config: SystemConfig, seed: int = 1,
-                stream_factory=None) -> Workload:
+def homogeneous(app: str, config: SystemConfig, seed: int = 1) -> Workload:
     """All cores run (copies/threads of) one application.
 
     For shared applications (server/PARSEC) the copies share an address
     pool, modelling one multi-threaded process; SPEC copies are private
     (the paper's 64-copies-per-CMP methodology).
-
-    ``stream_factory(spec, core, config, seed)`` overrides how each
-    core's stream is built -- it must return a stream observationally
-    identical to :func:`make_stream`'s (the batch execution backend
-    substitutes shared replay tapes here).
     """
     spec = get_benchmark(app)
-    factory = stream_factory if stream_factory is not None else make_stream
     streams = [
-        factory(spec, core, config, seed)
+        make_stream(spec, core, config, seed)
         for core in range(config.n_cores)
     ]
     return Workload(streams, [spec.name] * config.n_cores, spec.name)
@@ -137,7 +106,7 @@ def mix(apps: Sequence[str], config: SystemConfig, seed: int = 1,
     app_of_core: List[str] = []
     for core in range(config.n_cores):
         spec = specs[core % len(specs)]
-        streams.append(_stream_for(spec, core, config, seed))
+        streams.append(make_stream(spec, core, config, seed))
         app_of_core.append(spec.name)
     return Workload(
         streams, app_of_core, name or "+".join(s.name for s in specs)

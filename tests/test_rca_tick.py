@@ -24,7 +24,6 @@ import random
 
 import pytest
 
-from repro.engine import EngineSpec, batch_available
 from repro.noc.topology import LOCAL, N_PORTS
 from repro.resilience import FaultConfig
 from repro.sim import reset_state
@@ -151,27 +150,3 @@ def test_tick_matches_reference_across_tsb_remap():
     sim.run(300, warmup=100)
     assert sim.fault_plane.report()["tsb_remapped"] == {0: 1}
     assert len(checked) == 400
-
-
-@pytest.mark.skipif(not batch_available(),
-                    reason="numpy not installed (repro[batch])")
-def test_tick_matches_reference_on_kernel_lanes():
-    from repro.engine.batch import BatchEngine
-
-    checked = []
-
-    class ShadowEngine(BatchEngine):
-        def _build_lane(self, spec, tape_pool):
-            sim, scope = super()._build_lane(spec, tape_pool)
-            checked.append(shadow(sim))
-            return sim, scope
-
-    specs = [
-        EngineSpec.build(app, Scheme.STTRAM_4TSB_RCA, 160, 49, seed,
-                         {"mesh_width": 4, "capacity_scale": 1 / 64})
-        for app, seed in (("tpcc", 2), ("sjbb", 5))
-    ]
-    engine = ShadowEngine(slice_cycles=32)
-    engine.run_group(specs)
-    assert engine.stats.kernel_lanes == len(specs)
-    assert [len(c) for c in checked] == [209, 209]

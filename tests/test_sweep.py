@@ -1,5 +1,9 @@
 """Tests for the sweep grid and its JSON persistence."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.sim.config import Scheme
@@ -16,7 +20,37 @@ def sweep():
     return run_sweep(grid)
 
 
+#: One-point sweep run in a fresh interpreter; ``{plant}`` may block an
+#: import before the package loads.  Prints whether numpy got imported.
+NUMPY_FREE_SCRIPT = """
+import sys
+{plant}
+from repro.sim.config import Scheme
+from repro.sim.sweep import SweepGrid, run_sweep
+
+grid = SweepGrid(apps=["x264"], schemes=(Scheme.SRAM_64TSB,),
+                 cycles=200, warmup=80,
+                 overrides={{"mesh_width": 4, "capacity_scale": 1 / 64}})
+sweep = run_sweep(grid, workers=1, cache=False, ledger=False)
+assert sweep.data["x264"]["SRAM-64TSB"]["packets_delivered"] > 0
+print(sys.modules.get("numpy") is not None)
+"""
+
+
 class TestRunSweep:
+    def test_sweep_needs_no_numpy(self):
+        """A sweep imports only the standard library: numpy never loads,
+        and a sweep still runs where importing numpy would fail."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for plant in ("", 'sys.modules["numpy"] = None'):
+            out = subprocess.run(
+                [sys.executable, "-c", NUMPY_FREE_SCRIPT.format(plant=plant)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            assert out.strip() == "False", (plant, out)
+
     def test_covers_full_grid(self, sweep):
         assert sweep.apps() == ["x264", "hmmer"]
         assert sweep.schemes() == ["SRAM-64TSB", "MRAM-4TSB-WB"]

@@ -4,14 +4,15 @@ The contracts under test (see ``repro/obs/telemetry.py``,
 ``repro/obs/ledger.py``, ``repro/obs/progress.py``):
 
 * telemetry is a **pure reader** -- the sweep fingerprint is
-  unperturbed across {scalar, batch} x {workers 1, 2} x {cold, warm}
-  with recording on, and merged worker counters equal the serial run's;
+  unperturbed across {workers 1, 2} x {cold, warm} with recording on,
+  and merged worker counters equal the serial run's;
 * worker metric snapshots merge losslessly (counters sum, histograms
   bucket-merge, gauges gain per-worker labels);
 * the merged Chrome trace validates, carries one track per worker
   process, and its span rollups cover the sweep wall time;
 * the run ledger appends atomically, rotates at ``max_entries``,
-  survives a corrupt tail, and diffs two runs against a threshold.
+  survives a corrupt tail, diffs two runs against a threshold, and
+  still reads records written under schema 1.
 """
 
 import json
@@ -20,8 +21,9 @@ import os
 import pytest
 
 from repro.obs.ledger import (
-    DEFAULT_MAX_ENTRIES, RunLedger, build_record, diff_records,
-    format_entries, ledger_enabled, record_from_bench, validate_record,
+    DEFAULT_MAX_ENTRIES, LEDGER_SCHEMA_VERSION, RunLedger, build_record,
+    diff_records, format_entries, ledger_enabled, record_from_bench,
+    validate_record,
 )
 from repro.obs.metrics import LabeledGauge, MetricsRegistry
 from repro.obs.progress import ProgressRenderer
@@ -32,12 +34,6 @@ from repro.obs.telemetry import (
 from repro.sim.config import Scheme
 from repro.sim.parallel import SweepRunStats
 from repro.sim.sweep import SweepGrid, run_sweep
-
-needs_numpy = pytest.mark.skipif(
-    not __import__("repro.engine", fromlist=["batch_available"]
-                   ).batch_available(),
-    reason="batch backend needs numpy",
-)
 
 FAST = {"mesh_width": 4, "capacity_scale": 1 / 64}
 
@@ -175,7 +171,7 @@ class TestSpanRecorder:
     def test_taxonomy_is_documented(self):
         assert "sweep.run" in SPAN_NAMES
         assert "chunk.queue_wait" in SPAN_NAMES
-        assert "batch.lane_build" in SPAN_NAMES
+        assert "engine.simulate" in SPAN_NAMES
 
 
 class TestWorkerTelemetry:
@@ -205,55 +201,43 @@ class TestWorkerTelemetry:
 # ----------------------------------------------------------------------
 
 
-def run_cell(grid, backend, workers, cache_dir=None, telemetry=None):
+def run_cell(grid, workers, cache_dir=None, telemetry=None):
     stats = SweepRunStats()
-    sweep = run_sweep(grid, workers=workers, backend=backend,
+    sweep = run_sweep(grid, workers=workers,
                       cache=cache_dir is not None, cache_dir=cache_dir,
                       stats=stats, telemetry=telemetry, ledger=False)
     return sweep, stats
 
 
 class TestPureReader:
-    """Telemetry on == telemetry off, across backends/workers/cache."""
+    """Telemetry on == telemetry off, across workers/cache."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        sweep, _stats = run_cell(tiny_grid(), "scalar", 1)
+        sweep, _stats = run_cell(tiny_grid(), 1)
         return sweep.fingerprint()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scalar_fingerprint_unperturbed(self, baseline, workers):
         tel = SweepTelemetry()
-        sweep, _stats = run_cell(tiny_grid(), "scalar", workers,
-                                 telemetry=tel)
+        sweep, _stats = run_cell(tiny_grid(), workers, telemetry=tel)
         assert sweep.fingerprint() == baseline
         assert len(tel.spans()) > 0
 
-    @needs_numpy
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_batch_fingerprint_unperturbed(self, baseline, workers):
-        tel = SweepTelemetry()
-        sweep, _stats = run_cell(tiny_grid(), "batch", workers,
-                                 telemetry=tel)
-        assert sweep.fingerprint() == baseline
-        rollup = tel.rollups()
-        assert "batch.measure" in rollup
-
     def test_cold_then_warm_cache_unperturbed(self, baseline, tmp_path):
         cache = str(tmp_path / "cache")
-        cold, cold_stats = run_cell(tiny_grid(), "scalar", 2,
-                                    cache_dir=cache,
+        cold, cold_stats = run_cell(tiny_grid(), 2, cache_dir=cache,
                                     telemetry=SweepTelemetry())
         warm_tel = SweepTelemetry()
-        warm, warm_stats = run_cell(tiny_grid(), "scalar", 2,
-                                    cache_dir=cache, telemetry=warm_tel)
+        warm, warm_stats = run_cell(tiny_grid(), 2, cache_dir=cache,
+                                    telemetry=warm_tel)
         assert cold.fingerprint() == warm.fingerprint() == baseline
         assert warm_stats.cache_hits == warm_stats.points
         assert warm_tel.as_meta()["points"]["hit"] == warm_stats.points
 
     def test_fingerprint_never_hashes_meta(self, baseline):
         tel = SweepTelemetry()
-        sweep, _stats = run_cell(tiny_grid(), "scalar", 1, telemetry=tel)
+        sweep, _stats = run_cell(tiny_grid(), 1, telemetry=tel)
         assert "telemetry" in sweep.meta
         stripped = type(sweep)(sweep.grid_spec, sweep.data, meta={})
         assert stripped.fingerprint() == sweep.fingerprint() == baseline
@@ -262,10 +246,10 @@ class TestPureReader:
 class TestMergedMetrics:
     def test_pool_counters_equal_serial_totals(self):
         serial_tel = SweepTelemetry()
-        _sweep, serial_stats = run_cell(tiny_grid(), "scalar", 1,
+        _sweep, serial_stats = run_cell(tiny_grid(), 1,
                                         telemetry=serial_tel)
         pool_tel = SweepTelemetry()
-        _sweep, pool_stats = run_cell(tiny_grid(), "scalar", 2,
+        _sweep, pool_stats = run_cell(tiny_grid(), 2,
                                       telemetry=pool_tel)
         serial_points = serial_tel.registry.counter("worker.points").value
         pool_points = pool_tel.registry.counter("worker.points").value
@@ -275,14 +259,14 @@ class TestMergedMetrics:
 
     def test_workers_active_labeled_per_pid(self):
         tel = SweepTelemetry()
-        _sweep, stats = run_cell(tiny_grid(), "scalar", 2, telemetry=tel)
+        _sweep, stats = run_cell(tiny_grid(), 2, telemetry=tel)
         active = tel.registry.labeled_gauge("sweep.workers.active")
         assert active.labels() == [f"w{pid}" for pid in tel.workers()]
         assert len(active) >= 1
 
     def test_meta_payload_shape(self):
         tel = SweepTelemetry()
-        sweep, stats = run_cell(tiny_grid(), "scalar", 1, telemetry=tel)
+        sweep, stats = run_cell(tiny_grid(), 1, telemetry=tel)
         meta = sweep.meta["telemetry"]
         assert meta["points"]["total"] == meta["points"]["done"]
         assert meta["points"]["sim"] == stats.simulated
@@ -298,7 +282,7 @@ class TestMergedMetrics:
 class TestChromeTrace:
     def test_two_worker_trace_validates(self, tmp_path):
         tel = SweepTelemetry()
-        _sweep, stats = run_cell(tiny_grid(), "scalar", 2, telemetry=tel)
+        _sweep, stats = run_cell(tiny_grid(), 2, telemetry=tel)
         path = str(tmp_path / "sweep-trace.json")
         tel.write_chrome(path)
         slices, worker_tracks, errors = validate_chrome_trace(path)
@@ -308,7 +292,7 @@ class TestChromeTrace:
 
     def test_rollup_covers_wall_time(self):
         tel = SweepTelemetry()
-        _sweep, stats = run_cell(tiny_grid(), "scalar", 2, telemetry=tel)
+        _sweep, stats = run_cell(tiny_grid(), 2, telemetry=tel)
         run_rollup = tel.rollups()["sweep.run"]
         assert run_rollup["count"] == 1
         # The sweep.run span covers the same window wall_seconds
@@ -318,7 +302,7 @@ class TestChromeTrace:
 
     def test_serial_trace_dedupes_parent_track(self):
         tel = SweepTelemetry()
-        run_cell(tiny_grid(), "scalar", 1, telemetry=tel)
+        run_cell(tiny_grid(), 1, telemetry=tel)
         doc = tel.chrome_document()
         metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert len(metas) == len({e["pid"] for e in metas})
@@ -345,7 +329,6 @@ def fake_stats(**kw):
     stats.simulated = kw.pop("simulated", 4)
     stats.workers = kw.pop("workers", 1)
     stats.wall_seconds = kw.pop("wall_seconds", 2.0)
-    stats.backend = kw.pop("backend", "scalar")
     for name, value in kw.items():
         setattr(stats, name, value)
     return stats
@@ -357,9 +340,45 @@ def fake_record(**kw):
     return record
 
 
+def schema1_record(backend="scalar", **kw):
+    """A record as schema-1 ledgers wrote it: with the ``backend``
+    field, plus the lane counters on batch runs."""
+    record = fake_record(schema=1, backend=backend, **kw)
+    if backend == "batch":
+        record.update(lane_groups=2, lanes_packed=12, scalar_fallbacks=0)
+    return record
+
+
 class TestLedger:
     def test_build_record_validates(self):
-        assert validate_record(fake_record()) == []
+        record = fake_record()
+        assert validate_record(record) == []
+        assert record["schema"] == LEDGER_SCHEMA_VERSION == 2
+        for name in ("backend", "lane_groups", "lanes_packed",
+                     "scalar_fallbacks"):
+            assert name not in record
+
+    def test_schema1_records_still_read(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "ledger.jsonl")
+        old = [schema1_record(points_per_sec=10.0),
+               schema1_record("batch", points_per_sec=12.0)]
+        with open(path, "w", encoding="ascii") as fh:
+            for record in old:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        ledger = RunLedger(path=path)
+        ledger.append(fake_record(points_per_sec=11.0))
+        assert [r["schema"] for r in ledger.entries()] == [1, 1, 2]
+        assert ledger.validate() == (3, [])
+        assert main(["ledger", "validate", "--path", path]) == 0
+        assert main(["ledger", "--path", path]) == 0
+        listing = capsys.readouterr().out
+        assert all(r["run_id"] in listing for r in old)
+        assert main(["ledger", "diff", "-3", "-2", "--path", path]) == 0
+        assert main(["ledger", "diff", "-2", "-1", "--path", path]) == 0
+        lines, failures = diff_records(old[1], ledger.resolve("-1"))
+        assert failures == [] and lines
 
     def test_append_and_entries_roundtrip(self, tmp_path):
         ledger = RunLedger(path=str(tmp_path / "ledger.jsonl"))
@@ -414,6 +433,11 @@ class TestLedger:
                 == first["run_id"])
         with pytest.raises(LookupError):
             ledger.resolve("zzzzzz")
+        # An all-digit run-id prefix is a prefix, not an index.
+        ledger.append(fake_record(run_id="875491abcdef"))
+        assert ledger.resolve("875491")["run_id"] == "875491abcdef"
+        with pytest.raises(LookupError, match="out of range"):
+            ledger.resolve("-7")
 
     def test_run_sweep_appends_when_enabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", "1")
@@ -594,8 +618,11 @@ class TestCLI:
 
         path = self.seed_ledger(tmp_path)
         assert main(["ledger", "--path", path,
-                     "--backend", "batch"]) == 0
+                     "--spec", "zzzz"]) == 0
         assert "no matching runs" in capsys.readouterr().out
+        digest = RunLedger(path=path).entries()[0]["spec_digest"]
+        assert main(["ledger", "--path", path, "--spec", digest[:6]]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
     def test_ledger_diff_and_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
