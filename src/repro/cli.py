@@ -6,7 +6,6 @@ Subcommands::
     python -m repro compare --app tpcc --mesh-width 8
     python -m repro table3
     python -m repro fig3 --app tpcc
-    python -m repro perf --out BENCH_perf.json
     python -m repro sweep --apps tpcc,mcf --workers 4 --out sweep.json
     python -m repro sweep --apps tpcc --progress rich --trace-out tr.json
     python -m repro chaos --app tpcc --fault crc --verify-determinism
@@ -23,6 +22,9 @@ All experiment subcommands accept ``--mesh-width``, ``--capacity-scale``,
 
 Configuration errors (and any other typed ``ReproError``) exit with
 status 2 and a one-line message on stderr rather than a traceback.
+
+The simulator's own host speed is measured outside the package, by
+``bench/run.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -89,36 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print an app's Figure 3 histogram")
     fig3_p.add_argument("--app", required=True)
     _add_common(fig3_p)
-
-    perf_p = sub.add_parser(
-        "perf", help="benchmark the simulator itself (dense vs event)")
-    perf_p.add_argument("--smoke", action="store_true",
-                        help="quick CI variant: target config only")
-    perf_p.add_argument("--out", default=None, metavar="PATH",
-                        help="write the JSON report (e.g. BENCH_perf.json)")
-    perf_p.add_argument("--baseline", default=None, metavar="PATH",
-                        help="committed BENCH_perf.json to gate against "
-                             "(fails on >20%% speedup regression)")
-    perf_p.add_argument("--cycles", type=int, default=None)
-    perf_p.add_argument("--warmup", type=int, default=None)
-    perf_p.add_argument("--repeats", type=_positive_int, default=None)
-    perf_p.add_argument("--seed", type=int, default=1)
-    perf_p.add_argument("--profile", action="store_true",
-                        help="profile the target config under cProfile "
-                             "and report the top-N hotspots")
-    perf_p.add_argument("--profile-out", default=None, metavar="PATH",
-                        help="write the profile hotspot JSON dump "
-                             "(with --profile)")
-    perf_p.add_argument("--top", type=_positive_int, default=25,
-                        help="hotspot rows in the profile report")
-    perf_p.add_argument("--hotspots", type=_positive_int, default=None,
-                        metavar="N",
-                        help="with --profile: also print the top-N "
-                             "by-cumulative rows as a JSON array "
-                             "(machine-readable, next to the dump)")
-    perf_p.add_argument("--scheduler", choices=("dense", "event"),
-                        default="event",
-                        help="scheduler to profile (with --profile)")
 
     sweep_p = sub.add_parser(
         "sweep", help="run an apps x schemes grid (parallel + cached)")
@@ -241,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar=("A", "B"),
                           help="instead of simulating, diff two sweep "
                                "runs: each ref is a ledger run-id "
-                               "prefix, a signed ledger index (-1 = "
-                               "latest), or a BENCH_perf.json path")
+                               "prefix or a signed ledger index (-1 = "
+                               "latest)")
     report_p.add_argument("--threshold", type=float, default=0.2,
                           metavar="FRACTION",
                           help="regression threshold for --compare "
@@ -336,58 +308,6 @@ def _cmd_fig3(args) -> int:
         labels, dist.percentages,
         title=f"{args.app}: gaps after a same-bank write "
               f"(queued {100 * dist.queued_fraction():.1f}%)"))
-    return 0
-
-
-def _cmd_perf(args) -> int:
-    from repro.sim import perf as perf_mod
-
-    if args.profile:
-        kwargs = dict(seed=args.seed, scheduler=args.scheduler,
-                      top=args.top)
-        for name in ("cycles", "warmup"):
-            value = getattr(args, name)
-            if value is not None:
-                kwargs[name] = value
-        report = perf_mod.run_profile(**kwargs)
-        print(perf_mod.format_profile(report))
-        if args.hotspots:
-            print(json.dumps(report["by_cumulative"][:args.hotspots],
-                             indent=2))
-        out = args.profile_out or args.out
-        if out:
-            perf_mod.write_report(report, out)
-            print(f"wrote {out}")
-        return 0
-
-    kwargs = dict(seed=args.seed)
-    if args.smoke:
-        # Same window as the full run (speedups stay comparable with
-        # the committed baseline), but one config and fewer repeats.
-        kwargs.update(repeats=2, labels=(perf_mod.TARGET_CONFIG,))
-    for name in ("cycles", "warmup", "repeats"):
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = value
-    report = perf_mod.run_perf(**kwargs)
-    print(perf_mod.format_report(report))
-    if args.out:
-        perf_mod.write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except OSError as exc:
-            print(f"cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 1
-        failures = perf_mod.check_regression(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"no perf regression vs {args.baseline}")
     return 0
 
 
@@ -611,27 +531,15 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _resolve_run_ref(ref: str, ledger):
-    """A compare ref: a BENCH_perf.json path or a ledger run ref."""
-    import os
-
-    from repro.obs.ledger import record_from_bench
-
-    if ref.endswith(".json") or os.path.sep in ref:
-        with open(ref, "r", encoding="ascii") as fh:
-            return record_from_bench(json.load(fh), ref)
-    return ledger.resolve(ref)
-
-
 def _cmd_report(args) -> int:
     if args.compare:
         from repro.obs.ledger import RunLedger, diff_records
 
         ledger = RunLedger(path=args.ledger_path)
         try:
-            a = _resolve_run_ref(args.compare[0], ledger)
-            b = _resolve_run_ref(args.compare[1], ledger)
-        except (LookupError, OSError, ValueError) as exc:
+            a = ledger.resolve(args.compare[0])
+            b = ledger.resolve(args.compare[1])
+        except LookupError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         lines, failures = diff_records(a, b, threshold=args.threshold)
@@ -718,7 +626,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "table3": _cmd_table3,
     "fig3": _cmd_fig3,
-    "perf": _cmd_perf,
     "sweep": _cmd_sweep,
     "chaos": _cmd_chaos,
     "trace": _cmd_trace,

@@ -12,9 +12,10 @@ Durability mirrors the result cache's corrupt-entry handling:
 * **Atomic writes** -- the ledger is rewritten whole through a temp
   file + ``os.replace``, so a crash mid-append leaves the previous
   (complete) file behind, never a torn one.
-* **Corrupt-tail recovery** -- a record that fails to parse or fails
-  schema validation is skipped on read and dropped on the next append;
-  a power cut that truncates the final line costs exactly that line.
+* **Corrupt-tail recovery** -- a line that is not ASCII, fails to
+  parse or fails schema validation is skipped on read and dropped on
+  the next append; a power cut that truncates the final line (or leaves
+  any bytes behind) costs exactly that line.
 * **Size-capped rotation** -- only the newest ``max_entries`` records
   are kept (``$REPRO_LEDGER_MAX`` overrides the default), so the
   ledger never grows without bound.
@@ -32,7 +33,7 @@ import os
 import platform
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Bumped when the record layout changes.  Schema 1 records also carry
 #: ``backend`` (and, for batch runs, ``lane_groups``/``lanes_packed``/
@@ -113,6 +114,18 @@ def validate_record(record: Dict) -> List[str]:
     return errors
 
 
+def _line_errors(line: Optional[str]) -> List[str]:
+    """Why one ledger line is corrupt (empty when it holds a valid
+    record); ``None`` stands for a line that is not ASCII."""
+    if line is None:
+        return ["not ASCII"]
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        return [f"not JSON ({exc})"]
+    return validate_record(record)
+
+
 def build_record(grid_spec: Dict, fingerprint: str, stats,
                  telemetry=None) -> Dict:
     """Assemble one ledger record from a finished sweep.
@@ -173,27 +186,30 @@ class RunLedger:
 
     # ------------------------------------------------------------------
 
+    def _lines(self) -> Iterator[Tuple[int, Optional[str]]]:
+        """``(line number, text)`` of every non-blank line, decoded one
+        line at a time; ``text`` is ``None`` for a line that is not
+        ASCII, so one torn write cannot hide the lines around it."""
+        with open(self.path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("ascii").strip()
+                except UnicodeDecodeError:
+                    yield lineno, None
+                    continue
+                if line:
+                    yield lineno, line
+
     def _read_lines(self) -> List[str]:
         """Raw lines whose records parse and validate; drops the rest."""
         self.corrupt_dropped = 0
         kept: List[str] = []
         try:
-            with open(self.path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        self.corrupt_dropped += 1
-                        continue
-                    if validate_record(record):
-                        self.corrupt_dropped += 1
-                        continue
+            for _lineno, line in self._lines():
+                if _line_errors(line):
+                    self.corrupt_dropped += 1
+                else:
                     kept.append(line)
-        except FileNotFoundError:
-            pass
         except OSError:
             pass
         return kept
@@ -230,25 +246,18 @@ class RunLedger:
         errors: List[str] = []
         rows = 0
         try:
-            with open(self.path, "r", encoding="ascii") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError as exc:
-                        errors.append(f"line {lineno}: not JSON ({exc})")
-                        continue
-                    row_errors = validate_record(record)
-                    if row_errors:
-                        errors.extend(
-                            f"line {lineno}: {msg}" for msg in row_errors
-                        )
-                    else:
-                        rows += 1
+            for lineno, line in self._lines():
+                line_errors = _line_errors(line)
+                if line_errors:
+                    errors.extend(
+                        f"line {lineno}: {msg}" for msg in line_errors
+                    )
+                else:
+                    rows += 1
         except FileNotFoundError:
             errors.append(f"no ledger at {self.path}")
+        except OSError as exc:
+            errors.append(f"cannot read {self.path}: {exc.strerror}")
         return rows, errors[:20]
 
     # ------------------------------------------------------------------
@@ -284,29 +293,6 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # Diffing
 # ----------------------------------------------------------------------
-
-
-def record_from_bench(payload: Dict, path: str) -> Dict:
-    """A pseudo ledger record lifted from a ``BENCH_perf.json`` report,
-    so ``report --compare`` can diff a live run against the committed
-    sweep-throughput baseline."""
-    sweep = payload.get("sweep_throughput")
-    if not isinstance(sweep, dict):
-        raise LookupError(f"{path} has no sweep_throughput section")
-    return {
-        "run_id": f"bench:{os.path.basename(path)}",
-        "workers": sweep.get("workers", 1),
-        "points": sweep.get("points", 0),
-        "wall_seconds": (
-            sweep["points"] / sweep["serial_points_per_sec"]
-            if sweep.get("serial_points_per_sec") else 0.0
-        ),
-        "points_per_sec": sweep.get("serial_points_per_sec", 0.0),
-        "hit_rate": sweep.get("warm_hit_rate", 0.0),
-        "cache_hits": 0, "cache_misses": 0, "cache_evictions": 0,
-        "resumed_points": 0, "simulated": sweep.get("points", 0),
-        "spans": {},
-    }
 
 
 #: Headline scalars diffed between two records (name, lower-is-better).

@@ -30,8 +30,8 @@ def reset_state() -> None:
     counter (``repro.noc.packet``), which makes packet ids depend on
     every simulation constructed earlier in the process.  Benchmarks
     and reproducibility-sensitive harnesses (``benchmarks/conftest.py``,
-    ``repro.sim.perf``) call this before each run so seeded simulations
-    are bit-identical no matter what ran before them.
+    ``bench/specs.py``, sweep workers) call this before each run so
+    seeded simulations are bit-identical no matter what ran before them.
     """
     from repro.noc.packet import reset_packet_ids
 

@@ -26,9 +26,9 @@ from repro.sim.simulator import CMPSimulator
 from repro.workloads.mixes import homogeneous
 from tests.conftest import small_config
 
-#: The four benchmarked schemes of the perf harness's lineage: SRAM
-#: baseline, naive STT-RAM, region-restricted STT-RAM, and the paper's
-#: full WB-estimator configuration.
+#: Four schemes covering both memory technologies and both TSB
+#: organisations: SRAM baseline, naive STT-RAM, region-restricted
+#: STT-RAM, and the paper's full WB-estimator configuration.
 SCHEMES = [
     Scheme.SRAM_64TSB,
     Scheme.STTRAM_64TSB,

@@ -18,10 +18,9 @@ import pytest
 from repro.noc.packet import reset_packet_ids
 from repro.obs import InMemorySink, Observability
 from repro.obs.events import SCHEDULER_KINDS
-from repro.sim.perf import perf_workload
 from repro.sim.simulator import CMPSimulator
 from repro.workloads.mixes import homogeneous
-from tests.conftest import small_config
+from tests.conftest import burst_workload, small_config
 
 CYCLES = 900
 WARMUP = 150
@@ -30,7 +29,7 @@ WARMUP = 150
 def _burst_run(scheduler, instrument=True, seed=5):
     reset_packet_ids()
     config = small_config()
-    sim = CMPSimulator(config, perf_workload(config, seed=seed),
+    sim = CMPSimulator(config, burst_workload(config, seed=seed),
                        scheduler=scheduler)
     obs = sink = None
     if instrument:

@@ -15,10 +15,11 @@ on identical seeded workloads over a small 16-node mesh and compare
 * the entire ``SimulationResult``.
 
 Inputs cover all six schemes, randomized odd warm-ups and windows
-(phase boundaries that split a sleeping core's accrual), and runs with
-the invariant guard, an observability session or a fault model
-attached -- each of which the event scheduler folds into its cycle-skip
-bound.
+(phase boundaries that split a sleeping core's accrual), runs with the
+invariant guard, an observability session or a fault model attached --
+each of which the event scheduler folds into its cycle-skip bound --
+and phased write bursts on the default 8x8 mesh, where the event run
+must also keep skipping as many cycles as it did when recorded.
 """
 
 import random
@@ -31,10 +32,10 @@ from repro.cpu.trace import IdleStream, ScriptedStream, bank_block
 from repro.noc.packet import reset_packet_ids
 from repro.obs import Observability
 from repro.resilience import FaultConfig
-from repro.sim.config import Scheme
+from repro.sim.config import Scheme, TSBPlacement, make_config
 from repro.sim.simulator import CMPSimulator
 from repro.workloads.mixes import Workload, homogeneous, mix
-from tests.conftest import small_config
+from tests.conftest import burst_workload, small_config
 
 CORE_FIELDS = CoreStats.__slots__
 BANK_FIELDS = BankStats.__slots__
@@ -104,6 +105,17 @@ SCHEMES = [
     Scheme.STTRAM_4TSB_SS,
 ]
 
+#: Burst-workload configs on the default 8x8 mesh, each with the cycles
+#: the event run executed of 6500 (warmup 500 + 6000) when recorded.
+#: Executing more is a scheduler slowdown even if every field matches.
+BURST_CONFIGS = [
+    pytest.param(Scheme.SRAM_64TSB, {}, 1331, id="sram-64tsb"),
+    pytest.param(Scheme.STTRAM_4TSB_WB, {}, 1691, id="sttram-4tsb-wb"),
+    pytest.param(Scheme.STTRAM_4TSB_WB,
+                 dict(n_region_tsbs=16, tsb_placement=TSBPlacement.STAGGER),
+                 1520, id="sttram-16tsb-stagger-wb"),
+]
+
 
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
@@ -118,6 +130,15 @@ class TestSchedulerEquivalence:
         cfg = small_config(Scheme.STTRAM_4TSB_WB)
         apps = ["tpcc", "sclust", "x264", "canneal"] * (cfg.n_cores // 4)
         _assert_equivalent(cfg, lambda c: mix(apps, c, seed=seed))
+
+    @pytest.mark.parametrize("scheme, overrides, max_executed",
+                             BURST_CONFIGS)
+    def test_phased_bursts_on_default_mesh(self, scheme, overrides,
+                                           max_executed):
+        _dense_sim, event_sim = _assert_equivalent(
+            make_config(scheme, **overrides),
+            lambda c: burst_workload(c, seed=1), cycles=6000, warmup=500)
+        assert event_sim.executed_cycles <= max_executed
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_random_odd_windows(self, seed):

@@ -6,24 +6,27 @@ The contracts under test (see ``repro/obs/telemetry.py``,
 * telemetry is a **pure reader** -- the sweep fingerprint is
   unperturbed across {workers 1, 2} x {cold, warm} with recording on,
   and merged worker counters equal the serial run's;
+* telemetry costs a fixed number of spans per point and per sweep,
+  never per simulated cycle;
 * worker metric snapshots merge losslessly (counters sum, histograms
   bucket-merge, gauges gain per-worker labels);
 * the merged Chrome trace validates, carries one track per worker
   process, and its span rollups cover the sweep wall time;
 * the run ledger appends atomically, rotates at ``max_entries``,
-  survives a corrupt tail, diffs two runs against a threshold, and
-  still reads records written under schema 1.
+  survives a corrupt tail (torn JSON or non-ASCII bytes), diffs two
+  runs against a threshold, and still reads records written under
+  schema 1.
 """
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from repro.obs.ledger import (
     DEFAULT_MAX_ENTRIES, LEDGER_SCHEMA_VERSION, RunLedger, build_record,
-    diff_records, format_entries, ledger_enabled, record_from_bench,
-    validate_record,
+    diff_records, format_entries, ledger_enabled, validate_record,
 )
 from repro.obs.metrics import LabeledGauge, MetricsRegistry
 from repro.obs.progress import ProgressRenderer
@@ -243,6 +246,28 @@ class TestPureReader:
         assert stripped.fingerprint() == sweep.fingerprint() == baseline
 
 
+class TestTelemetryCost:
+    """Recording cost as a count: spans are per sweep and per point, so
+    telemetry work does not grow with the simulated window."""
+
+    @pytest.mark.parametrize("workers, spans_per_point", [(1, 2), (2, 4)])
+    def test_span_counts_do_not_scale_with_cycles(self, workers,
+                                                  spans_per_point):
+        counts = []
+        for cycles in (200, 800):
+            tel = SweepTelemetry()
+            _sweep, stats = run_cell(tiny_grid(cycles=cycles), workers,
+                                     telemetry=tel)
+            counts.append(Counter(span["name"] for span in tel.spans()))
+        short, long = counts
+        assert short == long
+        points = stats.points
+        assert short["engine.setup"] == short["engine.simulate"] == points
+        for name in ("sweep.run", "sweep.plan", "sweep.dispatch"):
+            assert short[name] == 1
+        assert sum(short.values()) == spans_per_point * points + 3
+
+
 class TestMergedMetrics:
     def test_pool_counters_equal_serial_totals(self):
         serial_tel = SweepTelemetry()
@@ -401,18 +426,24 @@ class TestLedger:
         assert kept == ids[-3:]
 
     def test_corrupt_tail_skipped_and_healed(self, tmp_path):
-        path = str(tmp_path / "ledger.jsonl")
-        ledger = RunLedger(path=path)
-        ledger.append(fake_record())
-        with open(path, "a", encoding="ascii") as fh:
-            fh.write('{"torn": true, "missing-closi\n')
-        assert len(ledger.entries()) == 1
-        assert ledger.corrupt_dropped == 1
-        ledger.append(fake_record())  # rewrite heals the tail
-        with open(path, "r", encoding="ascii") as fh:
-            assert all(json.loads(line) for line in fh)
-        rows, errors = ledger.validate()
-        assert rows == 2 and errors == []
+        tails = [(b'{"torn": true, "missing-closi\n', "not JSON"),
+                 (b'{"torn": "\xff\xfe\n', "not ASCII")]
+        for n, (tail, why) in enumerate(tails):
+            path = str(tmp_path / f"ledger{n}.jsonl")
+            ledger = RunLedger(path=path)
+            ledger.append(fake_record())
+            with open(path, "ab") as fh:
+                fh.write(tail)
+            assert len(ledger.entries()) == 1
+            assert ledger.corrupt_dropped == 1
+            rows, errors = ledger.validate()
+            assert rows == 1 and len(errors) == 1
+            assert errors[0].startswith(f"line 2: {why}")
+            ledger.append(fake_record())  # rewrite heals the tail
+            with open(path, "r", encoding="ascii") as fh:
+                assert all(json.loads(line) for line in fh)
+            rows, errors = ledger.validate()
+            assert rows == 2 and errors == []
 
     def test_schema_violations_rejected_on_append(self, tmp_path):
         ledger = RunLedger(path=str(tmp_path / "ledger.jsonl"))
@@ -481,19 +512,6 @@ class TestLedgerDiff:
         b = fake_record(points_per_sec=9.5)
         _lines, failures = diff_records(a, b, threshold=0.2)
         assert failures == []
-
-    def test_bench_pseudo_record(self, tmp_path):
-        payload = {"sweep_throughput": {
-            "points": 6, "workers": 4, "backend": "scalar",
-            "serial_points_per_sec": 12.0, "warm_hit_rate": 1.0,
-        }}
-        record = record_from_bench(payload, "BENCH_perf.json")
-        assert record["points_per_sec"] == 12.0
-        lines, failures = diff_records(record, fake_record(
-            points_per_sec=11.0), threshold=0.2)
-        assert failures == []
-        with pytest.raises(LookupError):
-            record_from_bench({}, "other.json")
 
     def test_format_entries_lists_every_run(self):
         records = [fake_record(), fake_record()]
@@ -645,6 +663,12 @@ class TestCLI:
         assert main(["ledger", "validate", "--path", path]) == 1
         assert "LEDGER VIOLATION" in capsys.readouterr().err
 
+    def test_ledger_validate_unreadable_path(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["ledger", "validate", "--path", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.count("LEDGER VIOLATION") == 1
+
     def test_report_compare(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -659,18 +683,15 @@ class TestCLI:
         assert main(["report", "--compare", "-3", "-1",
                      "--ledger-path", path]) == 1
 
-    def test_report_compare_against_bench(self, tmp_path, capsys):
+    def test_report_compare_takes_only_ledger_refs(self, tmp_path,
+                                                   capsys):
         from repro.cli import main
 
-        bench = tmp_path / "BENCH_perf.json"
-        bench.write_text(json.dumps({"sweep_throughput": {
-            "points": 4, "workers": 1, "backend": "scalar",
-            "serial_points_per_sec": 10.0, "warm_hit_rate": 1.0,
-        }}))
-        path = str(tmp_path / "ledger.jsonl")
-        RunLedger(path=path).append(fake_record(points_per_sec=9.9))
-        assert main(["report", "--compare", str(bench), "-1",
-                     "--ledger-path", path]) == 0
+        path = self.seed_ledger(tmp_path)
+        assert main(["report", "--compare", "some.json", "-1",
+                     "--ledger-path", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_report_still_needs_app_without_compare(self, capsys):
         from repro.cli import main
