@@ -32,7 +32,7 @@ def run(scheme: Scheme):
     busy_bank, idle_a, idle_b = 11, 18, 25
     for bank in (busy_bank, idle_a, idle_b):
         for i in range(40):
-            sim._install_l2(bank_block(bank, i + 100, n))
+            sim.banks[bank].array.fill(bank_block(bank, i + 100, n))
 
     txns = []
 

@@ -4,14 +4,26 @@ Shared by the private L1 caches and the banked shared L2.  Arrays are
 addressed in *block* units: callers pass block numbers (byte address
 divided by the block size) and the array handles set indexing, hit/miss
 determination, fills, evictions, invalidations and dirty tracking.
+
+A set is created by its first fill.  Until then its slot holds
+:data:`EMPTY_SET`, one read-only empty mapping shared by every array, so
+building an array costs one list however many sets it has, and a run
+allocates only the sets it fills.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
+
+#: The slot of every set no fill has reached.  Read-only and empty, so
+#: lookups, presence and dirty tests, dirty marking and invalidation
+#: see an empty set without a branch of their own; only
+#: :meth:`CacheArray.fill` replaces it, with the set's ``OrderedDict``.
+EMPTY_SET: Mapping[int, bool] = MappingProxyType({})
 
 
 class CacheArray:
@@ -43,10 +55,9 @@ class CacheArray:
         self.n_sets = max(1, self.n_blocks // associativity)
         self.name = name
         self.index_stride = max(1, index_stride)
-        #: each set maps block -> dirty flag, in LRU order (MRU last)
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
+        #: each set maps block -> dirty flag, in LRU order (MRU last);
+        #: :data:`EMPTY_SET` until the set's first fill
+        self._sets: List[Mapping[int, bool]] = [EMPTY_SET] * self.n_sets
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -54,7 +65,7 @@ class CacheArray:
 
     # ------------------------------------------------------------------
 
-    def _set_of(self, block: int) -> OrderedDict:
+    def _set_of(self, block: int) -> Mapping[int, bool]:
         return self._sets[(block // self.index_stride) % self.n_sets]
 
     def lookup(self, block: int, touch: bool = True) -> bool:
@@ -89,9 +100,16 @@ class CacheArray:
     def fill(self, block: int, dirty: bool = False
              ) -> Optional[Tuple[int, bool]]:
         """Insert a block; return ``(victim_block, victim_dirty)`` if an
-        eviction was necessary, else None."""
-        entry = self._set_of(block)
-        if block in entry:
+        eviction was necessary, else None.
+
+        The one method that creates a set: a slot still holding
+        :data:`EMPTY_SET` gets its own ``OrderedDict`` here."""
+        sets = self._sets
+        index = (block // self.index_stride) % self.n_sets
+        entry = sets[index]
+        if entry is EMPTY_SET:
+            entry = sets[index] = OrderedDict()
+        elif block in entry:
             entry[block] = entry[block] or dirty
             entry.move_to_end(block)
             return None

@@ -164,10 +164,7 @@ class Router:
 
     def remove_entry_at(self, out_port: int, index: int, now: int) -> None:
         """Unpark the entry at ``index`` of an output queue and free its
-        input VC; the entry list is recycled into the pool.
-
-        The :meth:`release` body is inlined -- this runs once per
-        forwarded packet."""
+        input VC; the entry list is recycled into the pool."""
         entries = self.out_entries[out_port]
         entry = entries[index]
         del entries[index]
@@ -197,14 +194,6 @@ class Router:
         raise ValueError(
             f"entry not parked at node {self.node} port {out_port}"
         )
-
-    def release(self, entry: list, now: int) -> None:
-        """Free the input VC after the packet's tail has drained."""
-        port, vc, pkt, _arrival = entry
-        slot = port * self.n_vcs + vc
-        self.vc_pkt[slot] = None
-        self.vc_free_at[slot] = now + pkt.flits
-        self.n_resident -= 1
 
     # ------------------------------------------------------------------
     # Introspection used by the RCA estimator and the stats collector

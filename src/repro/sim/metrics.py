@@ -14,8 +14,15 @@ from typing import Dict, Iterable, Mapping, Sequence
 
 
 def instruction_throughput(ipcs: Iterable[float]) -> float:
-    """Eq. (1): total committed IPC across all cores."""
-    return sum(ipcs)
+    """Eq. (1): total committed IPC across all cores.
+
+    Folded left to right from 0.0, not with builtin ``sum()``: Python
+    3.12 made float ``sum()`` compensated, which changes the last bits
+    of a result that reaches ``SimulationResult.to_dict()``."""
+    total = 0.0
+    for ipc in ipcs:
+        total += ipc
+    return total
 
 
 def weighted_speedup(shared_ipc: Mapping[str, float],

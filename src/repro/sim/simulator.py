@@ -181,7 +181,15 @@ class CMPSimulator:
         directory sharers recorded) lets short measurement windows
         behave like the tail of a long warm-up.  Streams without the
         protocol (scripted tests) are left untouched.
+
+        The L2 blocks are gathered per home bank first -- per core its
+        pool, then its hot set, then the shared pool once -- and each
+        bank's list is then filled in that order.  Banks are independent
+        arrays, so the order within a bank is all that fixes their LRU
+        state and eviction counters.
         """
+        n_banks = self._n_banks  # bank_for_block, inlined per block
+        per_bank: List[List[int]] = [[] for _ in range(n_banks)]
         shared_done = False
         for core in self.cores:
             stream = core.stream
@@ -189,22 +197,23 @@ class CMPSimulator:
             if pool_blocks is None:
                 continue
             for block in pool_blocks():
-                self._install_l2(block)
+                per_bank[block % n_banks].append(block)
             for block in getattr(stream, "hot_blocks", list)():
-                self._install_l2(block)
+                home = block % n_banks
+                per_bank[home].append(block)
                 core.l1.fill(block)
-                bank = self.banks[self.bank_for_block(block)]
-                bank.directory.on_request(core.core_id, block, False)
+                self.banks[home].directory.on_request(
+                    core.core_id, block, False)
             if not shared_done:
                 shared = getattr(stream, "shared_blocks", None)
                 if shared is not None:
                     for block in shared():
-                        self._install_l2(block)
+                        per_bank[block % n_banks].append(block)
                     shared_done = True
-
-    def _install_l2(self, block: int) -> None:
-        bank = self.banks[self.bank_for_block(block)]
-        bank.array.fill(block)
+        for bank, blocks in zip(self.banks, per_bank):
+            fill = bank.array.fill
+            for block in blocks:
+                fill(block)
 
     # ------------------------------------------------------------------
     # Address mapping

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Optional
+from typing import List, Optional
 
 from repro.cpu.trace import AccessStream
 from repro.sim.config import SystemConfig
@@ -131,28 +131,40 @@ class SyntheticStream(AccessStream):
     # Address selection helpers
     # ------------------------------------------------------------------
 
-    def _fresh_block(self, bank: Optional[int] = None) -> int:
-        """A never-seen streaming block, optionally pinned to a bank."""
-        self._stream_counter += 1
-        index = self._stream_counter
+    def _fresh_blocks(self, count: int,
+                      bank: Optional[int] = None) -> List[int]:
+        """The next ``count`` never-seen streaming blocks, optionally
+        pinned to a bank, appended to the reuse pools in stream order.
+
+        The stream's one place for fresh-block address arithmetic:
+        :meth:`_fresh_block` is its one-block case and the prewarm pool
+        its bulk case."""
+        start = self._stream_counter + 1
+        self._stream_counter += count
+        indices = range(start, start + count)
+        base = self._private_base
         if bank is None:
             # Wrap within the private space; the modulus is a multiple of
             # any power-of-two bank count, preserving the uniform spread.
-            offset = (index * self._stride) % (PRIVATE_SPACE_BLOCKS // 2)
-            block = self._private_base + offset
+            stride = self._stride
+            span = PRIVATE_SPACE_BLOCKS // 2
+            blocks = [base + (index * stride) % span for index in indices]
         else:
-            wrap = PRIVATE_SPACE_BLOCKS // (2 * self.n_banks)
-            block = (
-                self._private_base
-                + (index % wrap) * self.n_banks + bank
-            )
+            n_banks = self.n_banks
+            wrap = PRIVATE_SPACE_BLOCKS // (2 * n_banks)
+            blocks = [base + (index % wrap) * n_banks + bank
+                      for index in indices]
             pool = self._bank_pools.get(bank)
             if pool is None:
                 pool = deque(maxlen=self._bank_pool_depth)
                 self._bank_pools[bank] = pool
-            pool.append(block)
-        self._pool.append(block)
-        return block
+            pool.extend(blocks)
+        self._pool.extend(blocks)
+        return blocks
+
+    def _fresh_block(self, bank: Optional[int] = None) -> int:
+        """A never-seen streaming block, optionally pinned to a bank."""
+        return self._fresh_blocks(1, bank)[0]
 
     def _burst_block(self, bank: int) -> int:
         """Block for a mid-burst access: usually an L2-resident reuse of
@@ -212,10 +224,10 @@ class SyntheticStream(AccessStream):
         if self.bursty:
             per_bank = max(8, self._pool_capacity // (2 * self.n_banks))
             for bank in range(self.n_banks):
-                for _ in range(per_bank):
-                    blocks.append(self._fresh_block(bank=bank))
-        while len(self._pool) < self._pool_capacity:
-            blocks.append(self._fresh_block())
+                blocks += self._fresh_blocks(per_bank, bank)
+        missing = self._pool_capacity - len(self._pool)
+        if missing > 0:
+            blocks += self._fresh_blocks(missing)
         return blocks
 
     def hot_blocks(self):

@@ -4,7 +4,7 @@ LRU reference model."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.arrays import CacheArray
+from repro.cache.arrays import EMPTY_SET, CacheArray
 from repro.errors import ConfigError
 
 
@@ -105,55 +105,129 @@ class TestIndexStride:
 
 
 class ReferenceLRU:
-    """Dict-of-lists reference model."""
+    """Dict-of-lists reference model: each set lists ``[block, dirty]``
+    pairs, LRU first."""
 
     def __init__(self, n_sets, ways, stride):
         self.n_sets, self.ways, self.stride = n_sets, ways, stride
         self.sets = {i: [] for i in range(n_sets)}
+        self.hits = self.misses = 0
+        self.evictions = self.dirty_evictions = 0
 
     def index(self, block):
         return (block // self.stride) % self.n_sets
 
-    def fill(self, block):
+    def find(self, block):
         s = self.sets[self.index(block)]
+        for pair in s:
+            if pair[0] == block:
+                return s, pair
+        return s, None
+
+    def fill(self, block, dirty=False):
+        s, pair = self.find(block)
+        if pair is not None:
+            s.remove(pair)
+            s.append([block, pair[1] or dirty])
+            return None
         victim = None
-        if block in s:
-            s.remove(block)
-        elif len(s) >= self.ways:
-            victim = s.pop(0)
-        s.append(block)
+        if len(s) >= self.ways:
+            victim = tuple(s.pop(0))
+            self.evictions += 1
+            self.dirty_evictions += victim[1]
+        s.append([block, dirty])
         return victim
 
     def lookup(self, block):
-        s = self.sets[self.index(block)]
-        if block in s:
-            s.remove(block)
-            s.append(block)
-            return True
-        return False
+        s, pair = self.find(block)
+        if pair is None:
+            self.misses += 1
+            return False
+        self.hits += 1
+        s.remove(pair)
+        s.append(pair)
+        return True
+
+    def contains(self, block):
+        return self.find(block)[1] is not None
+
+    def is_dirty(self, block):
+        pair = self.find(block)[1]
+        return pair is not None and pair[1]
+
+    def mark_dirty(self, block):
+        s, pair = self.find(block)
+        if pair is not None:
+            s.remove(pair)
+            s.append([block, True])
+
+    def mark_clean(self, block):
+        pair = self.find(block)[1]
+        if pair is not None:
+            pair[1] = False
+
+    def invalidate(self, block):
+        s, pair = self.find(block)
+        if pair is None:
+            return False, False
+        s.remove(pair)
+        return True, pair[1]
 
 
-@settings(max_examples=60, deadline=None)
+OPS = ("fill", "dirty_fill", "lookup", "contains", "is_dirty",
+       "mark_dirty", "mark_clean", "invalidate")
+
+
+def apply_op(model, op, block):
+    if op == "dirty_fill":
+        return model.fill(block, dirty=True)
+    return getattr(model, op)(block)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
+    # min_size lifts hypothesis's average list from ~5 ops to ~40, long
+    # enough to fill a set and then reorder it
     ops=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 200)), max_size=300),
+        st.tuples(st.sampled_from(OPS), st.integers(0, 31)),
+        min_size=20, max_size=300),
     ways=st.integers(1, 4),
     stride=st.sampled_from([1, 4, 16]),
 )
 def test_property_matches_reference_lru(ops, ways, stride):
-    n_sets = 4
+    # 32 blocks over eight sets: sets overflow often, and ops reach sets
+    # no fill has created yet (with stride 16, six sets never fill).
+    n_sets = 8
     array = CacheArray(n_sets * ways * 64, ways, 64, index_stride=stride)
     ref = ReferenceLRU(n_sets, ways, stride)
-    for is_fill, block in ops:
-        if is_fill:
-            got = array.fill(block)
-            want = ref.fill(block)
-            assert (got[0] if got else None) == want
-        else:
-            assert array.lookup(block) == ref.lookup(block)
+    for op, block in ops:
+        assert apply_op(array, op, block) == apply_op(ref, op, block), op
+        index = ref.index(block)
+        assert list(map(list, array._sets[index].items())) == ref.sets[index]
+    assert (array.hits, array.misses, array.evictions,
+            array.dirty_evictions) == (ref.hits, ref.misses,
+                                       ref.evictions, ref.dirty_evictions)
     assert array.occupancy() == sum(len(s) for s in ref.sets.values())
     assert sorted(array.resident_blocks()) == sorted(
-        b for s in ref.sets.values() for b in s)
+        pair[0] for s in ref.sets.values() for pair in s)
+
+
+def test_unfilled_sets_are_shared_and_read_only():
+    a = small_array(sets=4, ways=2)
+    assert all(s is EMPTY_SET for s in a._sets)
+    for block in range(8):
+        assert not a.lookup(block)
+        assert not a.contains(block) and not a.is_dirty(block)
+        a.mark_dirty(block)
+        a.mark_clean(block)
+        assert a.invalidate(block) == (False, False)
+    assert all(s is EMPTY_SET for s in a._sets)
+    assert a.occupancy() == 0 and list(a.resident_blocks()) == []
+    assert a.misses == 8
+    a.fill(1)
+    assert [s is EMPTY_SET for s in a._sets] == [True, False, True, True]
+    with pytest.raises(TypeError):
+        EMPTY_SET[1] = True
 
 
 @settings(max_examples=30, deadline=None)

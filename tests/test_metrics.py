@@ -15,6 +15,10 @@ class TestInstructionThroughput:
     def test_empty(self):
         assert instruction_throughput([]) == 0.0
 
+    def test_folds_in_core_order(self):
+        # A compensated sum (builtin sum() on Python >= 3.12) gives 1.0.
+        assert instruction_throughput([1e16, 1.0, -1e16]) == 0.0
+
 
 class TestWeightedSpeedup:
     def test_equal_means_count(self):

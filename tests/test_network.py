@@ -40,8 +40,12 @@ class TestRouterPrimitives:
         router.accept(LOCAL, vc, pkt, out_port=0, arrival=0)
         assert router.n_resident == 1
         assert router.free_vc(LOCAL, 0) == 1
-        entry = router.out_entries[0][0]
-        router.release(entry, now=10)
+        assert router.n_flits == 4 and router.port_mask == 1
+        router.remove_entry_at(0, 0, now=10)
+        assert router.out_entries[0] == []
+        assert router.n_flits == 0
+        assert router.port_mask == 0
+        assert router.n_resident == 0
         # The tail keeps the VC busy for `flits` cycles.
         assert router.free_vc(LOCAL, 10) == 1
         assert router.vcs[LOCAL][0] is None

@@ -36,7 +36,7 @@ class TestEndToEnd:
         block = bank_block(3, 5, cfg.n_banks)
         wl = scripted_workload(cfg, [(0, block, False)])
         sim = CMPSimulator(cfg, wl, prewarm=False)
-        sim._install_l2(block)
+        sim.banks[3].array.fill(block)
         assert sim.drain(max_cycles=5_000)
         assert sim.cores[0].stats.average_miss_latency() < 100
         assert sim.banks[3].stats.l2_hits == 1
