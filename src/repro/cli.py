@@ -11,7 +11,6 @@ Subcommands::
     python -m repro chaos --app tpcc --fault crc --verify-determinism
     python -m repro trace --app tpcc --out trace.jsonl --chrome trace.json
     python -m repro report --app tpcc
-    python -m repro report --compare -2 -1
     python -m repro ledger
     python -m repro ledger diff -2 -1 --threshold 0.3
     python -m repro list
@@ -141,16 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="FRACTION",
                          help="exit nonzero when the cache hit rate "
                               "falls below this fraction (CI gate)")
-    sweep_p.add_argument("--checkpoint", default=None, metavar="PATH",
-                         help="journal finished points to this snapshot "
-                              "file; a killed sweep resumes from it")
-    sweep_p.add_argument("--checkpoint-every", type=_positive_int,
-                         default=1, metavar="N",
-                         help="flush the checkpoint every N points")
-    sweep_p.add_argument("--expect-min-resumed", type=int, default=None,
-                         metavar="N",
-                         help="exit nonzero when fewer than N points "
-                              "were resumed from the checkpoint (CI gate)")
     _add_common(sweep_p)
 
     chaos_p = sub.add_parser(
@@ -170,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--bank-fail-duration", type=int, default=500,
                          help="bank-port outage length in cycles "
                               "(0 = permanent)")
-    chaos_p.add_argument("--scheduler", default="event",
-                         choices=("event", "dense"))
     chaos_p.add_argument("--json", action="store_true")
     chaos_p.add_argument("--expect-retransmits", type=int, default=None,
                          metavar="N",
@@ -196,31 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "the event schema")
     trace_p.add_argument("--epoch", type=_positive_int, default=256,
                          help="epoch sampler period in cycles")
-    trace_p.add_argument("--scheduler", default="event",
-                         choices=("event", "dense"))
     _add_common(trace_p)
 
     report_p = sub.add_parser(
         "report", help="run one scheme and print the observability report")
-    report_p.add_argument("--app", default=None)
+    report_p.add_argument("--app", required=True)
     report_p.add_argument("--scheme", default=Scheme.STTRAM_4TSB_WB.value,
                           choices=sorted(_SCHEME_BY_NAME))
     report_p.add_argument("--epoch", type=_positive_int, default=256,
                           help="epoch sampler period in cycles")
-    report_p.add_argument("--scheduler", default="event",
-                          choices=("event", "dense"))
-    report_p.add_argument("--compare", nargs=2, default=None,
-                          metavar=("A", "B"),
-                          help="instead of simulating, diff two sweep "
-                               "runs: each ref is a ledger run-id "
-                               "prefix or a signed ledger index (-1 = "
-                               "latest)")
-    report_p.add_argument("--threshold", type=float, default=0.2,
-                          metavar="FRACTION",
-                          help="regression threshold for --compare "
-                               "(default 0.2 = 20%%)")
-    report_p.add_argument("--ledger-path", default=None, metavar="PATH",
-                          help="ledger file for --compare refs")
     _add_common(report_p)
 
     ledger_p = sub.add_parser(
@@ -338,8 +309,6 @@ def _cmd_sweep(args) -> int:
     sweep = run_sweep(
         grid, workers=args.workers, cache=args.cache,
         cache_dir=args.cache_dir, timeout=args.timeout, stats=stats,
-        checkpoint=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         telemetry=telemetry, ledger=args.ledger,
         ledger_path=args.ledger_path,
     )
@@ -363,7 +332,6 @@ def _cmd_sweep(args) -> int:
         f"workers={resolve_workers(args.workers)} "
         f"hits={stats.cache_hits} misses={stats.cache_misses} "
         f"simulated={stats.simulated} retried={stats.retried} "
-        f"resumed={stats.resumed_points} "
         f"evictions={stats.cache_evictions} "
         f"utilization={stats.utilization:.0%}"
     )
@@ -391,16 +359,6 @@ def _cmd_sweep(args) -> int:
             return 1
         print(f"cache hit rate {stats.hit_rate:.0%} >= "
               f"{args.expect_min_hits:.0%}")
-    if args.expect_min_resumed is not None:
-        if stats.resumed_points < args.expect_min_resumed:
-            print(
-                f"TOO FEW RESUMED POINTS: {stats.resumed_points} < "
-                f"required {args.expect_min_resumed}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"resumed {stats.resumed_points} points >= "
-              f"{args.expect_min_resumed}")
     return 0
 
 
@@ -433,8 +391,7 @@ def _cmd_chaos(args) -> int:
     def one_run():
         reset_packet_ids()
         workload = app_factory(args.app, seed=args.seed)(config)
-        sim = CMPSimulator(config, workload, scheduler=args.scheduler,
-                           guard=True, faults=faults)
+        sim = CMPSimulator(config, workload, guard=True, faults=faults)
         result = sim.run(args.cycles, warmup=args.warmup)
         return sim, result
 
@@ -490,7 +447,7 @@ def _instrumented_run(args, obs):
     scheme = _SCHEME_BY_NAME[args.scheme]
     config = make_config(scheme, **_overrides(args))
     workload = app_factory(args.app, seed=args.seed)(config)
-    sim = CMPSimulator(config, workload, scheduler=args.scheduler)
+    sim = CMPSimulator(config, workload)
     obs.attach(sim)
     result = sim.run(args.cycles, warmup=args.warmup)
     return sim, result
@@ -532,30 +489,6 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.compare:
-        from repro.obs.ledger import RunLedger, diff_records
-
-        ledger = RunLedger(path=args.ledger_path)
-        try:
-            a = ledger.resolve(args.compare[0])
-            b = ledger.resolve(args.compare[1])
-        except LookupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        lines, failures = diff_records(a, b, threshold=args.threshold)
-        print("\n".join(lines))
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression beyond {args.threshold:.0%} threshold")
-        return 0
-
-    if not args.app:
-        print("error: report needs --app (or --compare A B)",
-              file=sys.stderr)
-        return 2
-
     from repro.obs import Observability
     from repro.obs.report import render_report
 

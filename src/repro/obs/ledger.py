@@ -21,8 +21,7 @@ Durability mirrors the result cache's corrupt-entry handling:
   ledger never grows without bound.
 
 ``repro.cli ledger`` lists, filters, validates and diffs the records;
-``repro.cli report --compare`` reuses :func:`diff_records` to gate two
-runs against a regression threshold.
+``ledger diff`` gates two runs against a regression threshold.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Bumped when the record layout changes.  Schema 1 records also carry
 #: ``backend`` (and, for batch runs, ``lane_groups``/``lanes_packed``/
-#: ``scalar_fallbacks``); they still validate, list and diff, because
-#: extra fields are ignored.
-LEDGER_SCHEMA_VERSION = 2
+#: ``scalar_fallbacks``), and schema 1 and 2 records the count of points
+#: resumed from a sweep checkpoint; they still validate, list and diff,
+#: because extra fields are ignored.
+LEDGER_SCHEMA_VERSION = 3
 
 #: Default number of records kept by rotation.
 DEFAULT_MAX_ENTRIES = 200
@@ -60,7 +60,6 @@ REQUIRED_FIELDS: Dict[str, tuple] = {
     "cache_hits": (int,),
     "cache_misses": (int,),
     "cache_evictions": (int,),
-    "resumed_points": (int,),
     "simulated": (int,),
     "wall_seconds": (int, float),
     "points_per_sec": (int, float),
@@ -153,7 +152,6 @@ def build_record(grid_spec: Dict, fingerprint: str, stats,
         "cache_hits": stats.cache_hits,
         "cache_misses": stats.cache_misses,
         "cache_evictions": stats.cache_evictions,
-        "resumed_points": stats.resumed_points,
         "simulated": stats.simulated,
         "retried": stats.retried,
         "wall_seconds": round(stats.wall_seconds, 6),

@@ -24,7 +24,7 @@ Three cooperating pieces:
   per worker process.
 
 Telemetry is a **pure reader**: nothing here feeds back into cache
-keys, checkpoints or ``SweepResults.fingerprint`` -- the identity
+keys, cache entries or ``SweepResults.fingerprint`` -- the identity
 matrices in ``tests/test_telemetry.py`` certify that a telemetry-on
 sweep is byte-identical to a telemetry-off one.
 """
@@ -167,7 +167,7 @@ class SweepTelemetry:
         #: per-point completion counters driving the progress stream
         self.points_total = 0
         self.points_done = 0
-        self.sources: Dict[str, int] = {"sim": 0, "hit": 0, "resumed": 0}
+        self.sources: Dict[str, int] = {"sim": 0, "hit": 0}
 
     # ------------------------------------------------------------------
     # Ingest
@@ -192,7 +192,7 @@ class SweepTelemetry:
 
     def point_done(self, label: str, source: str, wall_ms: float = 0.0,
                    worker: Optional[int] = None) -> None:
-        """One grid point finished (``source`` in sim/hit/resumed)."""
+        """One grid point finished (``source`` is sim or hit)."""
         self.points_done += 1
         self.sources[source] = self.sources.get(source, 0) + 1
         if self.progress is not None:

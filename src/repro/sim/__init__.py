@@ -14,7 +14,7 @@ from repro.sim.metrics import (
     instruction_throughput, max_slowdown, slowdowns, weighted_speedup,
 )
 from repro.sim.parallel import (
-    SweepCache, SweepCheckpoint, SweepPoint, SweepRunStats,
+    SweepCache, SweepPoint, SweepRunStats,
     code_version, default_cache_dir, run_points,
 )
 from repro.sim.results import SimulationResult
@@ -47,6 +47,6 @@ __all__ = [
     "run_scheme", "run_workload", "app_factory",
     "instruction_throughput", "weighted_speedup", "max_slowdown",
     "slowdowns", "SweepGrid", "SweepResults", "run_sweep",
-    "SweepPoint", "SweepCache", "SweepCheckpoint", "SweepRunStats",
+    "SweepPoint", "SweepCache", "SweepRunStats",
     "run_points", "code_version", "default_cache_dir", "reset_state",
 ]

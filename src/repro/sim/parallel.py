@@ -25,17 +25,17 @@ Design contract (tested in ``tests/test_parallel_sweep.py``):
   digest that is re-verified on read, so a truncated or tampered entry
   is evicted and re-simulated (counted in ``sweep.cache.evictions``).
   A crashed or timed-out worker chunk falls back to the parent, where
-  each point is retried up to ``max_retries`` times with bounded
-  exponential backoff before the sweep fails.
-* **Crash survivability** -- pass ``checkpoint=`` to journal finished
-  points into an atomically-replaced snapshot file.  A killed sweep
-  resumes from the snapshot on the next invocation (``resumed_points``
-  in the run stats), re-simulating only the unfinished points; the
-  snapshot is deleted once the grid completes.
+  each point's simulation is retried up to :data:`MAX_RETRIES` times
+  with bounded exponential backoff before the sweep fails.
+* **Crash survivability** -- the cache is the sweep's only journal:
+  each point is written the moment it finishes, so a killed sweep
+  re-run against the same cache directory serves its finished points
+  as hits and simulates only the rest.
 
-The engine reports progress and utilisation through the existing
-:class:`repro.obs.metrics.MetricsRegistry` (``sweep.*`` metrics) and is
-exposed on the command line as ``python -m repro.cli sweep``.
+The engine reports progress and utilisation through the telemetry
+plane's :class:`repro.obs.metrics.MetricsRegistry` (``sweep.*``
+metrics) and is exposed on the command line as
+``python -m repro.cli sweep``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import SweepTelemetry, WorkerTelemetry
 from repro.sim.config import Scheme
 
@@ -62,6 +61,12 @@ CACHE_SCHEMA_VERSION = 1
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"
+
+#: Retries of a failed point's simulation before the sweep fails.
+MAX_RETRIES = 2
+
+#: Seconds before the first retry; each further retry doubles it.
+RETRY_BACKOFF = 0.25
 
 
 def default_cache_dir() -> str:
@@ -259,87 +264,6 @@ class SweepCache:
 
 
 # ----------------------------------------------------------------------
-# Crash-survivable checkpoints
-# ----------------------------------------------------------------------
-
-
-class SweepCheckpoint:
-    """Atomic journal of finished sweep points for kill-and-resume.
-
-    The snapshot file holds ``{"code_version", "digest", "completed":
-    {key: result}}`` and is rewritten whole via temp file +
-    ``os.replace``, so a process killed mid-write leaves the previous
-    (complete) snapshot behind.  On load the digest and code version
-    are verified; a corrupt or stale snapshot resumes nothing rather
-    than resuming wrong results.
-    """
-
-    def __init__(self, path: str, version: Optional[str] = None):
-        self.path = path
-        self.version = version if version is not None else code_version()
-        self.completed: Dict[str, Dict] = {}
-        self._pending = 0
-
-    def load(self) -> int:
-        """Populate :attr:`completed` from disk; return the count."""
-        self.completed = {}
-        try:
-            with open(self.path, "r", encoding="ascii") as fh:
-                payload = json.load(fh)
-            completed = payload["completed"]
-            if (
-                payload["code_version"] != self.version
-                or not isinstance(completed, dict)
-                or payload["digest"] != _payload_digest(completed)
-            ):
-                raise ValueError("checkpoint self-check failed")
-            self.completed = completed
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # corrupt snapshot: resume nothing
-        return len(self.completed)
-
-    def prune(self, valid_keys) -> None:
-        """Drop snapshot entries that are not part of this grid."""
-        valid = set(valid_keys)
-        self.completed = {
-            k: v for k, v in self.completed.items() if k in valid
-        }
-
-    def record(self, key: str, result: Dict, every: int = 1) -> None:
-        """Journal one finished point; flush every ``every`` records."""
-        self.completed[key] = result
-        self._pending += 1
-        if self._pending >= every:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._pending:
-            return
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        payload = {
-            "code_version": self.version,
-            "digest": _payload_digest(self.completed),
-            "completed": self.completed,
-        }
-        tmp = self.path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, self.path)
-        self._pending = 0
-
-    def discard(self) -> None:
-        """Delete the snapshot (the grid completed)."""
-        self._pending = 0
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
-
-
-# ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 
@@ -415,7 +339,7 @@ ProgressFn = Callable[[str, Scheme], None]
 @dataclass
 class SweepRunStats:
     """Execution counters of one engine run (also mirrored into the
-    metrics registry as ``sweep.*``)."""
+    telemetry registry as ``sweep.*``)."""
 
     points: int = 0
     cache_hits: int = 0
@@ -427,8 +351,6 @@ class SweepRunStats:
     chunks: int = 0
     wall_seconds: float = 0.0
     busy_seconds: float = 0.0
-    #: points served from a crash checkpoint instead of simulation
-    resumed_points: int = 0
     #: corrupt cache entries evicted during this run
     cache_evictions: int = 0
 
@@ -454,7 +376,6 @@ class SweepRunStats:
             "simulated": self.simulated,
             "retried": self.retried,
             "worker_crashes": self.worker_crashes,
-            "resumed_points": self.resumed_points,
             "cache_evictions": self.cache_evictions,
             "workers": self.workers,
             "chunks": self.chunks,
@@ -500,43 +421,33 @@ def run_points(
     cache_dir: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
     timeout: Optional[float] = None,
-    metrics: Optional[MetricsRegistry] = None,
     stats: Optional[SweepRunStats] = None,
-    checkpoint=None,
-    checkpoint_every: int = 1,
-    max_retries: int = 2,
-    retry_backoff: float = 0.25,
     telemetry: Optional[SweepTelemetry] = None,
 ) -> Dict[str, Dict]:
     """Resolve every spec to a summary dict, keyed by content address.
 
     Cached points are served from disk; the rest fan out across a
-    process pool (``workers > 1``) or run inline.  ``timeout`` is the
-    per-point wall-clock budget; a chunk that exceeds the sum of its
-    points' budgets -- or whose worker dies -- falls back to the
-    parent, where each unfinished point retries up to ``max_retries``
-    times with exponential backoff (``retry_backoff * 2**attempt``
-    seconds) before the sweep fails.  ``checkpoint`` (a path or a
-    :class:`SweepCheckpoint`) journals finished points so a killed
-    sweep resumes instead of recomputing; the snapshot is flushed every
-    ``checkpoint_every`` completions and deleted when the grid
-    finishes.  The returned mapping is insertion-ordered by first
-    occurrence in ``specs`` and independent of completion order.
+    process pool (``workers > 1``) or run inline, and each is written to
+    the cache the moment it finishes, so a killed sweep re-run against
+    the same cache simulates only its unfinished points.  ``timeout``
+    is the per-point wall-clock budget; a chunk that exceeds the sum of
+    its points' budgets -- or whose worker dies -- falls back to the
+    parent, where each unfinished point's simulation retries up to
+    :data:`MAX_RETRIES` times with exponential backoff
+    (``RETRY_BACKOFF * 2**attempt`` seconds) before the sweep fails.
+    The returned mapping is insertion-ordered by first occurrence in
+    ``specs`` and independent of completion order.
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.SweepTelemetry`)
     turns on the sweep-scoped telemetry plane: cross-worker span
-    recording, per-worker metric snapshots merged into one registry,
-    and the live-progress stream.  Telemetry is a pure reader -- it
-    never alters results, cache keys or completion order -- so a
-    telemetry-on run is byte-identical to a telemetry-off one.
+    recording, per-worker metric snapshots merged into one registry
+    (``sweep.*`` run counters included), and the live-progress stream.
+    Telemetry is a pure reader -- it never alters results, cache keys
+    or completion order -- so a telemetry-on run is byte-identical to a
+    telemetry-off one.
     """
     stats = stats if stats is not None else SweepRunStats()
     stats.workers = resolve_workers(workers)
-    if max_retries < 0:
-        raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
-    if retry_backoff < 0:
-        raise ConfigError(
-            f"retry_backoff must be >= 0, got {retry_backoff}")
     tel = telemetry
     # Parent-as-worker telemetry bundle: serial execution and pool
     # retries simulate in this process; their spans and per-point
@@ -547,9 +458,6 @@ def run_points(
     t_mono = time.monotonic()
 
     store = SweepCache(cache_dir) if cache else None
-    ckpt = checkpoint
-    if isinstance(ckpt, str):
-        ckpt = SweepCheckpoint(ckpt)
     results: Dict[str, Dict] = {}
     spec_of_key: Dict[str, SweepPoint] = {}
     for spec in specs:
@@ -562,19 +470,9 @@ def run_points(
             results[key] = None  # placeholder fixing output order
     stats.points = len(spec_of_key)
 
-    resumed: Dict[str, Dict] = {}
-    if ckpt is not None:
-        ckpt.load()
-        ckpt.prune(spec_of_key.keys())
-        resumed = dict(ckpt.completed)
-
     def finish(key: str, result: Dict, wall_ms: float = 0.0,
                source: str = "sim", worker: Optional[int] = None) -> None:
         results[key] = result
-        if ckpt is not None and key not in ckpt.completed:
-            ckpt.record(key, result, every=checkpoint_every)
-        if wall_ms and metrics is not None:
-            metrics.histogram("sweep.point_ms").observe(int(wall_ms))
         if tel is not None:
             tel.point_done(spec_of_key[key].label(), source,
                            wall_ms=wall_ms, worker=worker)
@@ -598,10 +496,6 @@ def run_points(
     t_plan = time.monotonic()
     misses: List[str] = []
     for key, spec in spec_of_key.items():
-        if key in resumed:
-            stats.resumed_points += 1
-            finish(key, resumed[key], source="resumed")
-            continue
         cached = store.get(key) if store is not None else None
         if cached is not None:
             stats.cache_hits += 1
@@ -613,14 +507,29 @@ def run_points(
         tel.recorder.add("sweep.plan", t_plan, time.monotonic() - t_plan,
                          points=stats.points, misses=len(misses))
 
+    def simulate_with_retries(key: str) -> Tuple[Dict, float]:
+        """One point's summary and wall time in ms; the simulation alone
+        is retried with bounded exponential backoff."""
+        attempt = 0
+        while True:
+            t0 = time.perf_counter()
+            try:
+                if wtel is not None:
+                    result = simulate_point(spec_of_key[key],
+                                            recorder=wtel.recorder)
+                else:
+                    result = simulate_point(spec_of_key[key])
+            except Exception:
+                attempt += 1
+                if attempt > MAX_RETRIES:
+                    raise
+                stats.retried += 1
+                time.sleep(RETRY_BACKOFF * 2 ** (attempt - 1))
+            else:
+                return result, (time.perf_counter() - t0) * 1e3
+
     def run_serially(key: str) -> None:
-        t0 = time.perf_counter()
-        if wtel is not None:
-            result = simulate_point(spec_of_key[key],
-                                    recorder=wtel.recorder)
-        else:
-            result = simulate_point(spec_of_key[key])
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        result, wall_ms = simulate_with_retries(key)
         stats.busy_seconds += wall_ms / 1e3
         stats.simulated += 1
         if wtel is not None:
@@ -628,21 +537,6 @@ def run_points(
         cache_put(key, result)
         finish(key, result, wall_ms,
                worker=wtel.pid if wtel is not None else None)
-
-    def run_with_retries(key: str) -> None:
-        """One point, retried with bounded exponential backoff."""
-        attempt = 0
-        while True:
-            try:
-                run_serially(key)
-                return
-            except Exception:
-                attempt += 1
-                if attempt > max_retries:
-                    raise
-                stats.retried += 1
-                if retry_backoff > 0:
-                    time.sleep(retry_backoff * (2 ** (attempt - 1)))
 
     def run_pool() -> None:
         # ~4 chunks per worker: load-balanced while amortising
@@ -717,29 +611,29 @@ def run_points(
         for key in retry:
             if results[key] is None:
                 stats.retried += 1
-                run_with_retries(key)
+                run_serially(key)
 
     t_dispatch = time.monotonic()
-    try:
-        if stats.workers <= 1 or len(misses) <= 1:
-            for key in misses:
-                run_with_retries(key)
-        else:
-            run_pool()
-    finally:
-        if ckpt is not None:
-            ckpt.flush()
-    if ckpt is not None and all(r is not None for r in results.values()):
-        ckpt.discard()
+    if stats.workers <= 1 or len(misses) <= 1:
+        for key in misses:
+            run_serially(key)
+    else:
+        run_pool()
 
     stats.wall_seconds = time.perf_counter() - t_start
 
     if store is not None:
         stats.cache_evictions = store.evictions
 
-    def mirror_stats(reg) -> None:
-        """The sweep.* metric surface, identical on the session registry
-        and the telemetry plane's merged registry."""
+    if tel is not None:
+        tel.recorder.add("sweep.dispatch", t_dispatch,
+                         time.monotonic() - t_dispatch,
+                         simulated=stats.simulated)
+        # The parent acted as a worker on the serial and retry paths;
+        # only absorb its bundle if it actually recorded something.
+        if len(wtel.recorder) or len(wtel.registry):
+            tel.absorb(wtel.export())
+        reg = tel.registry
         reg.counter("sweep.points").inc(stats.points)
         reg.counter("sweep.cache.hits").inc(stats.cache_hits)
         reg.counter("sweep.cache.misses").inc(stats.cache_misses)
@@ -747,24 +641,10 @@ def run_points(
         reg.counter("sweep.simulated").inc(stats.simulated)
         reg.counter("sweep.retried").inc(stats.retried)
         reg.counter("sweep.worker_crashes").inc(stats.worker_crashes)
-        reg.counter("sweep.resumed").inc(stats.resumed_points)
         reg.gauge("sweep.workers").set(stats.workers)
         reg.gauge("sweep.utilization").set(stats.utilization)
         reg.gauge("sweep.points_per_sec").set(stats.points_per_sec)
-
-    if metrics is not None:
-        mirror_stats(metrics)
-    if tel is not None:
-        tel.recorder.add("sweep.dispatch", t_dispatch,
-                         time.monotonic() - t_dispatch,
-                         simulated=stats.simulated)
-        # The parent acted as a worker on the serial and retry paths;
-        # only absorb its bundle if it actually recorded something.
-        if wtel is not None and (len(wtel.recorder) or len(wtel.registry)):
-            tel.absorb(wtel.export())
-        if metrics is not tel.registry:
-            mirror_stats(tel.registry)
-        active = tel.registry.labeled_gauge("sweep.workers.active")
+        active = reg.labeled_gauge("sweep.workers.active")
         for pid in tel.workers():
             active.set(1, label=f"w{pid}")
         tel.recorder.add("sweep.run", t_mono, stats.wall_seconds,

@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import ALL_SCHEMES, Scheme
 from repro.sim.parallel import (
     ProgressFn, SweepPoint, SweepRunStats, run_points,
@@ -148,12 +147,7 @@ def run_sweep(grid: SweepGrid,
               cache: bool = False,
               cache_dir: Optional[str] = None,
               timeout: Optional[float] = None,
-              metrics: Optional[MetricsRegistry] = None,
               stats: Optional[SweepRunStats] = None,
-              checkpoint=None,
-              checkpoint_every: int = 1,
-              max_retries: int = 2,
-              retry_backoff: float = 0.25,
               telemetry=None,
               ledger: Optional[bool] = None,
               ledger_path: Optional[str] = None) -> SweepResults:
@@ -163,10 +157,9 @@ def run_sweep(grid: SweepGrid,
     fans grid points out across a process pool, and ``workers=0`` uses
     one worker per host CPU.  With ``cache=True`` previously simulated
     points are served from the content-addressed result cache (see
-    :mod:`repro.sim.parallel`), so only changed points simulate.
-    ``checkpoint`` (path or :class:`~repro.sim.parallel.SweepCheckpoint`)
-    journals finished points for kill-and-resume, and failed points
-    retry up to ``max_retries`` times with exponential backoff.
+    :mod:`repro.sim.parallel`), so only changed points simulate; a
+    killed sweep resumes by running again with ``cache=True`` against
+    the same ``cache_dir``.
 
     The resulting ``SweepResults.data`` -- and hence the fingerprint --
     is identical in all modes, across worker counts and cache states.
@@ -183,10 +176,7 @@ def run_sweep(grid: SweepGrid,
     run_stats = stats if stats is not None else SweepRunStats()
     resolved = run_points(
         specs, workers=workers, cache=cache, cache_dir=cache_dir,
-        progress=progress, timeout=timeout, metrics=metrics,
-        stats=run_stats,
-        checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-        max_retries=max_retries, retry_backoff=retry_backoff,
+        progress=progress, timeout=timeout, stats=run_stats,
         telemetry=telemetry,
     )
     data: Dict[str, Dict[str, dict]] = {}

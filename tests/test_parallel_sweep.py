@@ -319,19 +319,21 @@ class TestFaultTolerance:
 
 class TestMetricsWiring:
     def test_registry_sees_hits_misses_and_utilisation(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.telemetry import SweepTelemetry
 
-        registry = MetricsRegistry()
-        run_sweep(tiny_grid(), workers=1, cache=True,
-                  cache_dir=str(tmp_path), metrics=registry)
-        run_sweep(tiny_grid(), workers=1, cache=True,
-                  cache_dir=str(tmp_path), metrics=registry)
-        assert registry.counter("sweep.points").value == 8
-        assert registry.counter("sweep.cache.misses").value == 4
-        assert registry.counter("sweep.cache.hits").value == 4
-        assert registry.counter("sweep.simulated").value == 4
-        assert "sweep.workers" in registry
-        assert registry.histogram("sweep.point_ms").count == 4
+        cold, warm = SweepTelemetry(), SweepTelemetry()
+        for tel in (cold, warm):
+            run_sweep(tiny_grid(), workers=1, cache=True,
+                      cache_dir=str(tmp_path), telemetry=tel)
+        for tel, hits in ((cold, 0), (warm, 4)):
+            registry = tel.registry
+            assert registry.counter("sweep.points").value == 4
+            assert registry.counter("sweep.cache.misses").value == 4 - hits
+            assert registry.counter("sweep.cache.hits").value == hits
+            assert registry.counter("sweep.simulated").value == 4 - hits
+            assert "sweep.workers" in registry
+            assert "sweep.utilization" in registry
+        assert cold.registry.histogram("worker.point_ms").count == 4
 
     def test_stats_points_per_sec_and_hit_rate(self, tmp_path):
         stats = SweepRunStats()

@@ -366,9 +366,9 @@ def fake_record(**kw):
 
 
 def schema1_record(backend="scalar", **kw):
-    """A record as schema-1 ledgers wrote it: with the ``backend``
-    field, plus the lane counters on batch runs."""
-    record = fake_record(schema=1, backend=backend, **kw)
+    """A record as schema-1 ledgers wrote it: with the ``backend`` and
+    ``resumed_points`` fields, plus the lane counters on batch runs."""
+    record = fake_record(schema=1, backend=backend, resumed_points=0, **kw)
     if backend == "batch":
         record.update(lane_groups=2, lanes_packed=12, scalar_fallbacks=0)
     return record
@@ -378,9 +378,9 @@ class TestLedger:
     def test_build_record_validates(self):
         record = fake_record()
         assert validate_record(record) == []
-        assert record["schema"] == LEDGER_SCHEMA_VERSION == 2
+        assert record["schema"] == LEDGER_SCHEMA_VERSION == 3
         for name in ("backend", "lane_groups", "lanes_packed",
-                     "scalar_fallbacks"):
+                     "scalar_fallbacks", "resumed_points"):
             assert name not in record
 
     def test_schema1_records_still_read(self, tmp_path, capsys):
@@ -388,19 +388,21 @@ class TestLedger:
 
         path = str(tmp_path / "ledger.jsonl")
         old = [schema1_record(points_per_sec=10.0),
-               schema1_record("batch", points_per_sec=12.0)]
+               schema1_record("batch", points_per_sec=12.0),
+               fake_record(schema=2, resumed_points=1,
+                           points_per_sec=11.5)]
         with open(path, "w", encoding="ascii") as fh:
             for record in old:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         ledger = RunLedger(path=path)
         ledger.append(fake_record(points_per_sec=11.0))
-        assert [r["schema"] for r in ledger.entries()] == [1, 1, 2]
-        assert ledger.validate() == (3, [])
+        assert [r["schema"] for r in ledger.entries()] == [1, 1, 2, 3]
+        assert ledger.validate() == (4, [])
         assert main(["ledger", "validate", "--path", path]) == 0
         assert main(["ledger", "--path", path]) == 0
         listing = capsys.readouterr().out
         assert all(r["run_id"] in listing for r in old)
-        assert main(["ledger", "diff", "-3", "-2", "--path", path]) == 0
+        assert main(["ledger", "diff", "-4", "-3", "--path", path]) == 0
         assert main(["ledger", "diff", "-2", "-1", "--path", path]) == 0
         lines, failures = diff_records(old[1], ledger.resolve("-1"))
         assert failures == [] and lines
@@ -653,6 +655,11 @@ class TestCLI:
         assert "REGRESSION" in capsys.readouterr().err
         assert main(["ledger", "diff", "-1", "-2", "--path", path]) == 0
         assert main(["ledger", "diff", "-1", "--path", path]) == 2
+        capsys.readouterr()
+        assert main(["ledger", "diff", "some.json", "-1",
+                     "--path", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_ledger_validate(self, tmp_path, capsys):
         from repro.cli import main
@@ -669,34 +676,12 @@ class TestCLI:
         assert main(["ledger", "validate", "--path", str(tmp_path)]) == 1
         assert capsys.readouterr().err.count("LEDGER VIOLATION") == 1
 
-    def test_report_compare(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "ledger.jsonl")
-        ledger = RunLedger(path=path)
-        ledger.append(fake_record(points_per_sec=10.0))
-        ledger.append(fake_record(points_per_sec=9.8))
-        assert main(["report", "--compare", "-2", "-1",
-                     "--ledger-path", path]) == 0
-        assert "no regression" in capsys.readouterr().out
-        ledger.append(fake_record(points_per_sec=1.0))
-        assert main(["report", "--compare", "-3", "-1",
-                     "--ledger-path", path]) == 1
-
-    def test_report_compare_takes_only_ledger_refs(self, tmp_path,
-                                                   capsys):
-        from repro.cli import main
-
-        path = self.seed_ledger(tmp_path)
-        assert main(["report", "--compare", "some.json", "-1",
-                     "--ledger-path", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-
     def test_report_still_needs_app_without_compare(self, capsys):
         from repro.cli import main
 
-        assert main(["report"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["report"])
+        assert exc.value.code == 2
         assert "--app" in capsys.readouterr().err
 
     def test_sweep_telemetry_flags(self, tmp_path, capsys, monkeypatch):
