@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fleet telemetry end to end: spans, merged metrics, ledger, trace.
+"""Fleet telemetry end to end: spans, merged metrics, trace.
 
 Runs one apps x schemes grid through the parallel sweep engine with
 the full telemetry plane enabled -- live progress on stderr, span
@@ -8,24 +8,18 @@ recording in every worker -- then shows where the wall time went:
 * a span rollup (count + total seconds per span name, parent and
   workers merged);
 * the per-worker completion counts and merged fleet metrics;
-* a Chrome/Perfetto trace file with one track per worker process;
-* the run-ledger record the sweep appended, diffed against the
-  previous run when one exists (so running this twice demonstrates
-  `ledger diff` too).
+* a Chrome/Perfetto trace file with one track per worker process.
 
 Telemetry is a pure reader: the sweep re-runs with telemetry off and
 the fingerprints are asserted identical.
 
 Usage:
     python examples/sweep_telemetry.py [workers] [--progress rich]
-        [--trace-out sweep-trace.json] [--ledger-path PATH]
+        [--trace-out sweep-trace.json]
 """
 
 import argparse
-import os
-import tempfile
 
-from repro.obs.ledger import RunLedger, diff_records, format_entries
 from repro.obs.progress import ProgressRenderer
 from repro.obs.telemetry import SweepTelemetry, validate_chrome_trace
 from repro.sim.parallel import SweepRunStats
@@ -39,9 +33,6 @@ def main() -> None:
     parser.add_argument("--progress", choices=("plain", "rich"),
                         default="rich")
     parser.add_argument("--trace-out", default="sweep-trace.json")
-    parser.add_argument("--ledger-path",
-                        default=os.path.join(tempfile.gettempdir(),
-                                             "repro-demo-ledger.jsonl"))
     args = parser.parse_args()
 
     grid = SweepGrid(
@@ -50,16 +41,11 @@ def main() -> None:
         overrides={"mesh_width": 4, "capacity_scale": 1 / 64},
     )
 
-    ledger = RunLedger(path=args.ledger_path)
-    previous = ledger.entries()
-
     telemetry = SweepTelemetry()
     telemetry.progress = ProgressRenderer(mode=args.progress)
     stats = SweepRunStats()
-    os.environ["REPRO_LEDGER"] = "1"
     sweep = run_sweep(grid, workers=args.workers, cache=False,
-                      stats=stats, telemetry=telemetry,
-                      ledger_path=args.ledger_path)
+                      stats=stats, telemetry=telemetry)
 
     print(f"\n{stats.points} points in {stats.wall_seconds:.2f}s "
           f"({stats.points_per_sec:.2f} points/sec, "
@@ -86,19 +72,7 @@ def main() -> None:
     print(f"\nwrote {args.trace_out}: {slices} slices on {tracks} "
           "worker tracks (load it in ui.perfetto.dev)")
 
-    records = ledger.entries()
-    print(f"\nledger {args.ledger_path} "
-          f"({len(records)} runs):")
-    print(format_entries(records[-3:]))
-    if previous:
-        lines, failures = diff_records(previous[-1], records[-1])
-        print("\ndiff vs previous run:")
-        for line in lines:
-            print(f"  {line}")
-        print("  " + ("REGRESSION" if failures else "no regression"))
-
-    bare = run_sweep(grid, workers=args.workers, cache=False,
-                     ledger=False)
+    bare = run_sweep(grid, workers=args.workers, cache=False)
     assert bare.fingerprint() == sweep.fingerprint(), (
         "telemetry must be a pure reader"
     )

@@ -80,10 +80,6 @@ class LinkUtilizationProbe:
         """The ``n`` most utilised links, hottest first."""
         return sorted(self.samples(), key=lambda s: -s.utilization)[:n]
 
-    def utilization_of(self, node: int, port: int) -> float:
-        cycles = max(1, self.cycles_observed)
-        return self.flit_counts.get((node, port), 0) / cycles
-
     def layer_average(self, topo, layer: int) -> float:
         """Mean utilisation over all sampled links of one layer."""
         samples = [s for s in self.samples()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.cache.arrays import CacheArray
 from repro.cache.coherence import Directory
@@ -62,15 +62,6 @@ class BankStats:
         #: estimator-accuracy analysis (repro.obs.accuracy) and the
         #: source of the epoch sampler's per-bank busy fractions.
         self.service_intervals: List[Tuple[int, int]] = []
-
-    def record_wait(self, wait: int) -> None:
-        self.queue_wait_sum += wait
-        self.queue_wait_samples += 1
-
-    def average_queue_wait(self) -> float:
-        if not self.queue_wait_samples:
-            return 0.0
-        return self.queue_wait_sum / self.queue_wait_samples
 
 
 class BankController:
@@ -602,6 +593,3 @@ class BankController:
             and self.write_buffer.pending_drains() > 0
         )
         return not busy and not self.queue and not drains
-
-    def outstanding_misses(self) -> int:
-        return len(self.mshrs)

@@ -17,7 +17,7 @@ realistic coherence traffic with correct sharers flows on the NoC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.cache.messages import CoherenceMsg, CoherenceOp
 
@@ -26,10 +26,6 @@ from repro.cache.messages import CoherenceMsg, CoherenceOp
 class DirectoryEntry:
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None  # core holding the block Modified
-
-    @property
-    def dirty_elsewhere(self) -> bool:
-        return self.owner is not None
 
 
 class Directory:

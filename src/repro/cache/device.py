@@ -39,10 +39,6 @@ class MemoryDevice:
     def density_mb_per_mm2(self) -> float:
         return (self.capacity_bytes / (1 << 20)) / self.area_mm2
 
-    @property
-    def leakage_joules_per_cycle(self) -> float:
-        return self.leakage_mw * 1e-3 * CYCLE_SECONDS
-
     def access_energy_joules(self, is_write: bool) -> float:
         nj = self.write_energy_nj if is_write else self.read_energy_nj
         return nj * 1e-9

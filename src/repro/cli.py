@@ -11,8 +11,6 @@ Subcommands::
     python -m repro chaos --app tpcc --fault crc --verify-determinism
     python -m repro trace --app tpcc --out trace.jsonl --chrome trace.json
     python -m repro report --app tpcc
-    python -m repro ledger
-    python -m repro ledger diff -2 -1 --threshold 0.3
     python -m repro list
 
 All experiment subcommands accept ``--mesh-width``, ``--capacity-scale``,
@@ -126,14 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--trace-out", default=None, metavar="PATH",
                          help="write the merged sweep Chrome trace "
                               "(one track per worker process)")
-    sweep_p.add_argument("--ledger", default=True,
-                         action=argparse.BooleanOptionalAction,
-                         help="append this run to the persistent run "
-                              "ledger (also disabled by REPRO_LEDGER=0)")
-    sweep_p.add_argument("--ledger-path", default=None, metavar="PATH",
-                         help="ledger file location (default: "
-                              "$REPRO_LEDGER_DIR or the sweep cache "
-                              "root, ledger.jsonl)")
     sweep_p.add_argument("--out", default=None, metavar="PATH",
                          help="write the sweep results JSON")
     sweep_p.add_argument("--expect-min-hits", type=float, default=None,
@@ -193,28 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--epoch", type=_positive_int, default=256,
                           help="epoch sampler period in cycles")
     _add_common(report_p)
-
-    ledger_p = sub.add_parser(
-        "ledger", help="inspect the persistent sweep run ledger")
-    ledger_p.add_argument("action", nargs="?", default="list",
-                          choices=("list", "diff", "validate"),
-                          help="list recent runs, diff two runs, or "
-                               "validate every ledger row")
-    ledger_p.add_argument("refs", nargs="*", metavar="REF",
-                          help="for diff: two run refs (run-id prefix "
-                               "or signed index, -1 = latest)")
-    ledger_p.add_argument("--path", default=None, metavar="PATH",
-                          help="ledger file (default: "
-                               "$REPRO_LEDGER_DIR or the sweep cache "
-                               "root, ledger.jsonl)")
-    ledger_p.add_argument("--limit", type=_positive_int, default=20,
-                          help="rows shown by list (default 20)")
-    ledger_p.add_argument("--spec", default=None, metavar="PREFIX",
-                          help="list filter: grid spec digest prefix")
-    ledger_p.add_argument("--threshold", type=float, default=0.2,
-                          metavar="FRACTION",
-                          help="regression threshold for diff "
-                               "(default 0.2 = 20%%)")
 
     sub.add_parser("list", help="list benchmarks and schemes")
     return parser
@@ -309,8 +277,7 @@ def _cmd_sweep(args) -> int:
     sweep = run_sweep(
         grid, workers=args.workers, cache=args.cache,
         cache_dir=args.cache_dir, timeout=args.timeout, stats=stats,
-        telemetry=telemetry, ledger=args.ledger,
-        ledger_path=args.ledger_path,
+        telemetry=telemetry,
     )
     if telemetry is not None and not (args.telemetry or args.trace_out):
         # --progress alone is a live display, not a telemetry request:
@@ -498,50 +465,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_ledger(args) -> int:
-    from repro.obs.ledger import RunLedger, diff_records, format_entries
-
-    ledger = RunLedger(path=args.path)
-
-    if args.action == "validate":
-        rows, errors = ledger.validate()
-        for error in errors:
-            print(f"LEDGER VIOLATION: {error}", file=sys.stderr)
-        print(f"{rows} valid record(s) in {ledger.path}")
-        return 1 if errors else 0
-
-    if args.action == "diff":
-        if len(args.refs) != 2:
-            print("error: ledger diff needs exactly two refs "
-                  "(run-id prefix or signed index, -1 = latest)",
-                  file=sys.stderr)
-            return 2
-        try:
-            a = ledger.resolve(args.refs[0])
-            b = ledger.resolve(args.refs[1])
-        except LookupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        lines, failures = diff_records(a, b, threshold=args.threshold)
-        print("\n".join(lines))
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-
-    records = ledger.entries()
-    if args.spec:
-        records = [r for r in records
-                   if r["spec_digest"].startswith(args.spec)]
-    if not records:
-        print(f"no matching runs in {ledger.path}")
-        return 0
-    print(format_entries(records[-args.limit:]))
-    if ledger.corrupt_dropped:
-        print(f"({ledger.corrupt_dropped} corrupt line(s) skipped)",
-              file=sys.stderr)
-    return 0
-
-
 def _cmd_list(_args) -> int:
     print("schemes:")
     for scheme in ALL_SCHEMES:
@@ -563,7 +486,6 @@ _COMMANDS = {
     "chaos": _cmd_chaos,
     "trace": _cmd_trace,
     "report": _cmd_report,
-    "ledger": _cmd_ledger,
     "list": _cmd_list,
 }
 

@@ -167,12 +167,6 @@ class BankAwareArbiter(RoundRobinArbiter):
 
     # ------------------------------------------------------------------
 
-    def _is_managed(self, node: int, pkt: Packet) -> bool:
-        if pkt.klass is not PacketClass.REQUEST or pkt.bank is None:
-            return False
-        children = self._children.get(node)
-        return children is not None and pkt.bank in children
-
     def on_forward(self, node: int, pkt: Packet, now: int,
                    out_port: int) -> None:
         """Charge the busy tracker and let the estimator tag packets.

@@ -230,9 +230,6 @@ class RegionMap:
     def parent_nodes(self) -> Tuple[int, ...]:
         return tuple(sorted(self.children_of))
 
-    def is_parent(self, node: int) -> bool:
-        return node in self.children_of
-
     def expected_child_distance(self, bank: int) -> int:
         """Hop distance from a bank's parent to the bank itself.
 

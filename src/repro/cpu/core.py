@@ -65,11 +65,6 @@ class CoreStats:
             return 0.0
         return self.miss_latency_sum / self.miss_latency_samples
 
-    def l1_mpki(self) -> float:
-        if not self.committed:
-            return 0.0
-        return 1000.0 * self.l1_misses / self.committed
-
 
 class Core:
     """One processing node in the core layer."""
@@ -362,9 +357,6 @@ class Core:
                 )
 
     # ------------------------------------------------------------------
-
-    def outstanding_misses(self) -> int:
-        return len(self.mshrs)
 
     def quiesced(self) -> bool:
         return not len(self.mshrs)

@@ -17,10 +17,6 @@ class RoutingError(ReproError):
     """A packet could not be routed (unreachable destination or bad port)."""
 
 
-class ProtocolError(ReproError):
-    """A cache-coherence or bank-protocol invariant was violated."""
-
-
 class WorkloadError(ReproError):
     """An unknown benchmark name or invalid workload specification."""
 

@@ -28,10 +28,6 @@ from repro.obs.events import (
     EV_GUARD_VIOLATION, EV_PKT_DELIVER, EV_PKT_FORWARD, EV_PKT_INJECT,
     EV_SCHED_EXEC, EV_SCHED_SKIP, EV_TSB_COMBINE,
 )
-from repro.obs.ledger import (
-    LEDGER_SCHEMA_VERSION, RunLedger, build_record, diff_records,
-    validate_record,
-)
 from repro.obs.metrics import (
     DEFAULT_PERCENTILES, Counter, Gauge, Histogram, LabeledGauge,
     MetricsRegistry, percentiles_from_hist,
@@ -62,8 +58,6 @@ __all__ = [
     "EpochSample", "EpochSampler",
     "EVENT_SCHEMA", "validate_event", "validate_jsonl",
     "ChromeTraceSink", "JSONLSink",
-    "LEDGER_SCHEMA_VERSION", "RunLedger", "build_record", "diff_records",
-    "validate_record",
     "SPAN_NAMES", "SpanRecorder", "SweepTelemetry", "WorkerTelemetry",
     "rollup_spans", "validate_chrome_trace",
 ]

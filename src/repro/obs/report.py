@@ -11,7 +11,7 @@ so a top-level import here would close an import cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 #: Ten-step density ramp used for the busy-fraction heatmap.
 _SHADES = " .:-=+*#%@"
@@ -47,20 +47,6 @@ def format_accuracy_table(summaries: Sequence[Dict]) -> str:
         rows,
         title="Busy-prediction accuracy (predicted vs actual bank state)",
         float_format="{:.1f}",
-    )
-
-
-def format_latency_percentiles(stats_dict: Dict) -> str:
-    """Latency summary line from a ``NetworkStats.as_dict()`` payload."""
-    return (
-        "packet latency: mean {mean:.2f}  p50 {p50:.0f}  "
-        "p95 {p95:.0f}  p99 {p99:.0f} cycles ({n} delivered)".format(
-            mean=stats_dict.get("avg_latency", 0.0),
-            p50=stats_dict.get("latency_p50", 0.0),
-            p95=stats_dict.get("latency_p95", 0.0),
-            p99=stats_dict.get("latency_p99", 0.0),
-            n=stats_dict.get("total_delivered", 0),
-        )
     )
 
 

@@ -79,9 +79,6 @@ class SpanRecorder:
             span["args"] = args
         self.spans.append(span)
 
-    def instant(self, name: str, **args) -> None:
-        self.add(name, time.monotonic(), 0.0, **args)
-
     @contextmanager
     def span(self, name: str, **args):
         t0 = time.monotonic()
@@ -150,7 +147,7 @@ class SweepTelemetry:
     Created by the caller (or ``repro.cli sweep --telemetry``) and
     passed into ``run_points``/``run_sweep``; afterwards it holds the
     merged registry, the full cross-process span list and everything
-    needed to render a Chrome trace or a ledger record.
+    needed to render a Chrome trace.
     """
 
     def __init__(self):

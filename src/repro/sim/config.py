@@ -13,7 +13,7 @@ through :class:`Scheme` and :func:`make_config`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -265,11 +265,6 @@ class SystemConfig:
         sets identically across cache technologies."""
         scaled = int(self.sram_bank_bytes * self.capacity_scale)
         return max(scaled, self.block_bytes * self.l2_associativity)
-
-    @property
-    def restricted_request_path(self) -> bool:
-        """True when core->cache requests must use region TSBs."""
-        return self.n_region_tsbs is not None
 
     # ------------------------------------------------------------------
     # Validation

@@ -26,7 +26,9 @@ Design contract (tested in ``tests/test_parallel_sweep.py``):
   is evicted and re-simulated (counted in ``sweep.cache.evictions``).
   A crashed or timed-out worker chunk falls back to the parent, where
   each point's simulation is retried up to :data:`MAX_RETRIES` times
-  with bounded exponential backoff before the sweep fails.
+  with bounded exponential backoff before the sweep fails.  A typed
+  :class:`~repro.errors.ReproError` (an unknown app, a bad config) is
+  the point's own and fails the sweep at once, unretried.
 * **Crash survivability** -- the cache is the sweep's only journal:
   each point is written the moment it finishes, so a killed sweep
   re-run against the same cache directory serves its finished points
@@ -51,7 +53,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.obs.telemetry import SweepTelemetry, WorkerTelemetry
 from repro.sim.config import Scheme
 
@@ -509,7 +511,9 @@ def run_points(
 
     def simulate_with_retries(key: str) -> Tuple[Dict, float]:
         """One point's summary and wall time in ms; the simulation alone
-        is retried with bounded exponential backoff."""
+        is retried with bounded exponential backoff.  A typed
+        :class:`~repro.errors.ReproError` raises at once: the point is
+        hermetic, so every retry would raise it again."""
         attempt = 0
         while True:
             t0 = time.perf_counter()
@@ -519,6 +523,8 @@ def run_points(
                                             recorder=wtel.recorder)
                 else:
                     result = simulate_point(spec_of_key[key])
+            except ReproError:
+                raise
             except Exception:
                 attempt += 1
                 if attempt > MAX_RETRIES:
@@ -580,6 +586,10 @@ def run_points(
                 chunk = futures[future]
                 try:
                     payload = future.result()
+                except ReproError:
+                    # A typed error is the point's own, not the
+                    # worker's: it would recur on every retry.
+                    raise
                 except Exception:
                     # Worker crash (BrokenProcessPool marks every
                     # pending future too) or an in-worker exception:

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigError
 from repro.sim.config import ALL_SCHEMES, Scheme
 from repro.sim.parallel import (
     ProgressFn, SweepPoint, SweepRunStats, run_points,
@@ -149,8 +150,7 @@ def run_sweep(grid: SweepGrid,
               timeout: Optional[float] = None,
               stats: Optional[SweepRunStats] = None,
               telemetry=None,
-              ledger: Optional[bool] = None,
-              ledger_path: Optional[str] = None) -> SweepResults:
+              ledger: bool = False) -> SweepResults:
     """Execute every grid point and collect summaries.
 
     ``workers=1`` (the default) runs in-process, serially; ``workers=N``
@@ -168,15 +168,19 @@ def run_sweep(grid: SweepGrid,
     :class:`~repro.obs.telemetry.SweepTelemetry`; when given, spans and
     merged worker metrics land in ``SweepResults.meta["telemetry"]``
     (informational only -- the fingerprint hashes ``data`` alone).
-    Every completed sweep appends one record to the persistent run
-    ledger unless ``ledger=False`` or the ``REPRO_LEDGER=0`` env kill
-    switch is set; ``ledger_path`` overrides the default location.
+
+    A sweep writes nothing but its result cache.  ``ledger`` is kept
+    only because ``bench/run.py`` still passes ``ledger=False``; the
+    run ledger it named is gone, so ``ledger=True`` raises
+    :class:`~repro.errors.ConfigError`.
     """
+    if ledger:
+        raise ConfigError("the run ledger was removed; a sweep writes "
+                          "only its result cache")
     specs = grid.point_specs()
-    run_stats = stats if stats is not None else SweepRunStats()
     resolved = run_points(
         specs, workers=workers, cache=cache, cache_dir=cache_dir,
-        progress=progress, timeout=timeout, stats=run_stats,
+        progress=progress, timeout=timeout, stats=stats,
         telemetry=telemetry,
     )
     data: Dict[str, Dict[str, dict]] = {}
@@ -187,18 +191,4 @@ def run_sweep(grid: SweepGrid,
     meta = {}
     if telemetry is not None:
         meta["telemetry"] = telemetry.as_meta()
-    results = SweepResults(grid.spec_dict(), data, meta=meta)
-
-    from repro.obs.ledger import (
-        RunLedger, build_record, ledger_enabled,
-    )
-    if ledger is not False and ledger_enabled():
-        try:
-            record = build_record(grid.spec_dict(), results.fingerprint(),
-                                  run_stats, telemetry=telemetry)
-            RunLedger(path=ledger_path).append(record)
-        except OSError:
-            # The ledger is an observability surface; a full disk or an
-            # unwritable cache dir must never fail the sweep itself.
-            pass
-    return results
+    return SweepResults(grid.spec_dict(), data, meta=meta)

@@ -47,13 +47,6 @@ class BenchmarkSpec:
         return min(0.95, self.l2wpki / self.l1mpki)
 
     @property
-    def l2_miss_fraction(self) -> float:
-        """Fraction of L2 *reads* that miss the (4 MB-bank) L2."""
-        if self.l2rpki <= 0:
-            return 0.0
-        return min(1.0, self.l2mpki / self.l2rpki)
-
-    @property
     def read_intensive(self) -> bool:
         return self.l2rpki > 2.0 * self.l2wpki
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -10,11 +9,6 @@ import pytest
 from repro.cpu.trace import AccessStream, bank_block
 from repro.sim.config import Scheme, SystemConfig, make_config
 from repro.workloads.mixes import Workload
-
-# Hermetic tests: never let an in-test run_sweep append to the user's
-# real run ledger.  Tests that exercise the ledger point it at a tmp
-# path explicitly (and flip this env back on where needed).
-os.environ.setdefault("REPRO_LEDGER", "0")
 
 
 def small_config(scheme: Scheme = Scheme.STTRAM_4TSB_WB,

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.obs.telemetry import SweepTelemetry
 from repro.sim import parallel
 from repro.sim.config import Scheme
@@ -80,7 +81,7 @@ class TestSIGKILLResume:
     """A real kill -9 of a CLI sweep, then resume to completion."""
 
     GRID = ["--apps", "sclust,x264", "--schemes",
-            "SRAM-64TSB,MRAM-4TSB", "--workers", "1", "--no-ledger",
+            "SRAM-64TSB,MRAM-4TSB", "--workers", "1",
             "--mesh-width", "4", "--capacity-scale", "0.015625",
             "--cycles", "12000", "--warmup", "1000"]
 
@@ -264,4 +265,17 @@ class TestPerPointRetry:
                            cache_dir=str(tmp_path), stats=stats)
             assert (stats.simulated, stats.retried) == (1, 0), workers
         assert counting.calls == 1  # the pool simulates in its workers
+        assert sleeps == []
+
+    def test_typed_error_is_not_retried(self, sleeps):
+        """A point is hermetic, so a ``ReproError`` it raises would come
+        back on every retry: the sweep fails at once, serial or pooled,
+        and no worker counts as crashed."""
+        bad = [SweepPoint.build("nosuchapp", scheme, 200, 80, 1, FAST)
+               for scheme in (Scheme.SRAM_64TSB, Scheme.STTRAM_4TSB)]
+        for workers in (1, 2):
+            stats = SweepRunStats()
+            with pytest.raises(WorkloadError):
+                run_points(bad, workers=workers, cache=False, stats=stats)
+            assert (stats.retried, stats.worker_crashes) == (0, 0), workers
         assert sleeps == []

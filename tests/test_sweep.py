@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.sim.config import Scheme
 from repro.sim.sweep import SweepGrid, SweepResults, run_sweep
 
@@ -25,13 +26,14 @@ def sweep():
 NUMPY_FREE_SCRIPT = """
 import sys
 {plant}
+from repro.errors import ConfigError
 from repro.sim.config import Scheme
 from repro.sim.sweep import SweepGrid, run_sweep
 
 grid = SweepGrid(apps=["x264"], schemes=(Scheme.SRAM_64TSB,),
                  cycles=200, warmup=80,
                  overrides={{"mesh_width": 4, "capacity_scale": 1 / 64}})
-sweep = run_sweep(grid, workers=1, cache=False, ledger=False)
+sweep = run_sweep(grid, workers=1, cache=False)
 assert sweep.data["x264"]["SRAM-64TSB"]["packets_delivered"] > 0
 print(sys.modules.get("numpy") is not None)
 """
@@ -80,6 +82,25 @@ class TestRunSweep:
                          cycles=200, warmup=50, overrides=dict(FAST))
         run_sweep(grid, progress=lambda a, s: seen.append((a, s)))
         assert seen == [("x264", Scheme.SRAM_64TSB)]
+
+
+def test_default_sweep_writes_nothing_outside_its_cache(tmp_path,
+                                                        monkeypatch):
+    """With the cache off, a sweep writes no file at all: not under the
+    home or cache directories, and not when the removed run-ledger
+    switch ``REPRO_LEDGER=1`` is still set."""
+    home = tmp_path / "home"
+    home.mkdir()
+    for name in ("HOME", "XDG_CACHE_HOME", "REPRO_SWEEP_CACHE_DIR"):
+        monkeypatch.setenv(name, str(home))
+    monkeypatch.setenv("REPRO_LEDGER", "1")
+    grid = SweepGrid(apps=["x264"], schemes=(Scheme.SRAM_64TSB,),
+                     cycles=200, warmup=80, overrides=dict(FAST))
+    sweep = run_sweep(grid, workers=1)
+    assert sweep.data["x264"]["SRAM-64TSB"]["packets_delivered"] > 0
+    assert list(home.rglob("*")) == []
+    with pytest.raises(ConfigError):
+        run_sweep(grid, ledger=True)
 
 
 class TestPersistence:

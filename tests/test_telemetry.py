@@ -1,7 +1,7 @@
-"""Fleet telemetry: spans, merged metrics, ledger, progress, CLI.
+"""Fleet telemetry: spans, merged metrics, progress, CLI.
 
-The contracts under test (see ``repro/obs/telemetry.py``,
-``repro/obs/ledger.py``, ``repro/obs/progress.py``):
+The contracts under test (see ``repro/obs/telemetry.py`` and
+``repro/obs/progress.py``):
 
 * telemetry is a **pure reader** -- the sweep fingerprint is
   unperturbed across {workers 1, 2} x {cold, warm} with recording on,
@@ -11,23 +11,14 @@ The contracts under test (see ``repro/obs/telemetry.py``,
 * worker metric snapshots merge losslessly (counters sum, histograms
   bucket-merge, gauges gain per-worker labels);
 * the merged Chrome trace validates, carries one track per worker
-  process, and its span rollups cover the sweep wall time;
-* the run ledger appends atomically, rotates at ``max_entries``,
-  survives a corrupt tail (torn JSON or non-ASCII bytes), diffs two
-  runs against a threshold, and still reads records written under
-  schema 1.
+  process, and its span rollups cover the sweep wall time.
 """
 
 import json
-import os
 from collections import Counter
 
 import pytest
 
-from repro.obs.ledger import (
-    DEFAULT_MAX_ENTRIES, LEDGER_SCHEMA_VERSION, RunLedger, build_record,
-    diff_records, format_entries, ledger_enabled, validate_record,
-)
 from repro.obs.metrics import LabeledGauge, MetricsRegistry
 from repro.obs.progress import ProgressRenderer
 from repro.obs.telemetry import (
@@ -208,7 +199,7 @@ def run_cell(grid, workers, cache_dir=None, telemetry=None):
     stats = SweepRunStats()
     sweep = run_sweep(grid, workers=workers,
                       cache=cache_dir is not None, cache_dir=cache_dir,
-                      stats=stats, telemetry=telemetry, ledger=False)
+                      stats=stats, telemetry=telemetry)
     return sweep, stats
 
 
@@ -344,185 +335,6 @@ class TestChromeTrace:
 
 
 # ----------------------------------------------------------------------
-# The run ledger
-# ----------------------------------------------------------------------
-
-
-def fake_stats(**kw):
-    stats = SweepRunStats()
-    stats.points = kw.pop("points", 4)
-    stats.simulated = kw.pop("simulated", 4)
-    stats.workers = kw.pop("workers", 1)
-    stats.wall_seconds = kw.pop("wall_seconds", 2.0)
-    for name, value in kw.items():
-        setattr(stats, name, value)
-    return stats
-
-
-def fake_record(**kw):
-    record = build_record({"apps": ["x264"]}, "f" * 64, fake_stats())
-    record.update(kw)
-    return record
-
-
-def schema1_record(backend="scalar", **kw):
-    """A record as schema-1 ledgers wrote it: with the ``backend`` and
-    ``resumed_points`` fields, plus the lane counters on batch runs."""
-    record = fake_record(schema=1, backend=backend, resumed_points=0, **kw)
-    if backend == "batch":
-        record.update(lane_groups=2, lanes_packed=12, scalar_fallbacks=0)
-    return record
-
-
-class TestLedger:
-    def test_build_record_validates(self):
-        record = fake_record()
-        assert validate_record(record) == []
-        assert record["schema"] == LEDGER_SCHEMA_VERSION == 3
-        for name in ("backend", "lane_groups", "lanes_packed",
-                     "scalar_fallbacks", "resumed_points"):
-            assert name not in record
-
-    def test_schema1_records_still_read(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "ledger.jsonl")
-        old = [schema1_record(points_per_sec=10.0),
-               schema1_record("batch", points_per_sec=12.0),
-               fake_record(schema=2, resumed_points=1,
-                           points_per_sec=11.5)]
-        with open(path, "w", encoding="ascii") as fh:
-            for record in old:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        ledger = RunLedger(path=path)
-        ledger.append(fake_record(points_per_sec=11.0))
-        assert [r["schema"] for r in ledger.entries()] == [1, 1, 2, 3]
-        assert ledger.validate() == (4, [])
-        assert main(["ledger", "validate", "--path", path]) == 0
-        assert main(["ledger", "--path", path]) == 0
-        listing = capsys.readouterr().out
-        assert all(r["run_id"] in listing for r in old)
-        assert main(["ledger", "diff", "-4", "-3", "--path", path]) == 0
-        assert main(["ledger", "diff", "-2", "-1", "--path", path]) == 0
-        lines, failures = diff_records(old[1], ledger.resolve("-1"))
-        assert failures == [] and lines
-
-    def test_append_and_entries_roundtrip(self, tmp_path):
-        ledger = RunLedger(path=str(tmp_path / "ledger.jsonl"))
-        first = fake_record()
-        ledger.append(first)
-        ledger.append(fake_record())
-        entries = ledger.entries()
-        assert len(entries) == 2
-        assert entries[0]["run_id"] == first["run_id"]
-
-    def test_rotation_keeps_newest(self, tmp_path):
-        ledger = RunLedger(path=str(tmp_path / "ledger.jsonl"),
-                           max_entries=3)
-        ids = []
-        for _ in range(5):
-            record = fake_record()
-            ids.append(record["run_id"])
-            ledger.append(record)
-        kept = [r["run_id"] for r in ledger.entries()]
-        assert kept == ids[-3:]
-
-    def test_corrupt_tail_skipped_and_healed(self, tmp_path):
-        tails = [(b'{"torn": true, "missing-closi\n', "not JSON"),
-                 (b'{"torn": "\xff\xfe\n', "not ASCII")]
-        for n, (tail, why) in enumerate(tails):
-            path = str(tmp_path / f"ledger{n}.jsonl")
-            ledger = RunLedger(path=path)
-            ledger.append(fake_record())
-            with open(path, "ab") as fh:
-                fh.write(tail)
-            assert len(ledger.entries()) == 1
-            assert ledger.corrupt_dropped == 1
-            rows, errors = ledger.validate()
-            assert rows == 1 and len(errors) == 1
-            assert errors[0].startswith(f"line 2: {why}")
-            ledger.append(fake_record())  # rewrite heals the tail
-            with open(path, "r", encoding="ascii") as fh:
-                assert all(json.loads(line) for line in fh)
-            rows, errors = ledger.validate()
-            assert rows == 2 and errors == []
-
-    def test_schema_violations_rejected_on_append(self, tmp_path):
-        ledger = RunLedger(path=str(tmp_path / "ledger.jsonl"))
-        bad = fake_record()
-        del bad["fingerprint"]
-        with pytest.raises(ValueError, match="fingerprint"):
-            ledger.append(bad)
-        newer = fake_record(schema=999)
-        assert any("newer" in e for e in validate_record(newer))
-
-    def test_resolve_by_prefix_and_index(self, tmp_path):
-        ledger = RunLedger(path=str(tmp_path / "ledger.jsonl"))
-        first, second = fake_record(), fake_record()
-        ledger.append(first)
-        ledger.append(second)
-        assert ledger.resolve("-1")["run_id"] == second["run_id"]
-        assert (ledger.resolve(first["run_id"][:6])["run_id"]
-                == first["run_id"])
-        with pytest.raises(LookupError):
-            ledger.resolve("zzzzzz")
-        # An all-digit run-id prefix is a prefix, not an index.
-        ledger.append(fake_record(run_id="875491abcdef"))
-        assert ledger.resolve("875491")["run_id"] == "875491abcdef"
-        with pytest.raises(LookupError, match="out of range"):
-            ledger.resolve("-7")
-
-    def test_run_sweep_appends_when_enabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER", "1")
-        assert ledger_enabled()
-        path = str(tmp_path / "ledger.jsonl")
-        grid = tiny_grid(schemes=(Scheme.SRAM_64TSB,))
-        sweep = run_sweep(grid, workers=1, ledger_path=path)
-        records = RunLedger(path=path).entries()
-        assert len(records) == 1
-        assert records[0]["fingerprint"] == sweep.fingerprint()[:16]
-        run_sweep(grid, workers=1, ledger_path=path, ledger=False)
-        assert len(RunLedger(path=path).entries()) == 1
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER", "0")
-        assert not ledger_enabled()
-        monkeypatch.setenv("REPRO_LEDGER", "off")
-        assert not ledger_enabled()
-        monkeypatch.setenv("REPRO_LEDGER", "1")
-        assert ledger_enabled()
-
-
-class TestLedgerDiff:
-    def test_throughput_regression_flagged(self):
-        a = fake_record(points_per_sec=10.0)
-        b = fake_record(points_per_sec=5.0)
-        lines, failures = diff_records(a, b, threshold=0.2)
-        assert any("points_per_sec" in f for f in failures)
-        assert any("points_per_sec" in line for line in lines)
-
-    def test_span_growth_flagged(self):
-        a = fake_record(spans={"engine.simulate":
-                               {"count": 4, "total_s": 1.0}})
-        b = fake_record(spans={"engine.simulate":
-                               {"count": 4, "total_s": 2.0}})
-        _lines, failures = diff_records(a, b, threshold=0.2)
-        assert any("engine.simulate" in f for f in failures)
-
-    def test_within_threshold_passes(self):
-        a = fake_record(points_per_sec=10.0)
-        b = fake_record(points_per_sec=9.5)
-        _lines, failures = diff_records(a, b, threshold=0.2)
-        assert failures == []
-
-    def test_format_entries_lists_every_run(self):
-        records = [fake_record(), fake_record()]
-        listing = format_entries(records)
-        for record in records:
-            assert record["run_id"] in listing
-
-
-# ----------------------------------------------------------------------
 # Live progress
 # ----------------------------------------------------------------------
 
@@ -617,65 +429,6 @@ class TestProgress:
 
 
 class TestCLI:
-    def seed_ledger(self, tmp_path, n=2, **kw):
-        path = str(tmp_path / "ledger.jsonl")
-        ledger = RunLedger(path=path)
-        for _ in range(n):
-            ledger.append(fake_record(**kw))
-        return path
-
-    def test_ledger_list(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self.seed_ledger(tmp_path)
-        assert main(["ledger", "--path", path]) == 0
-        out = capsys.readouterr().out
-        assert "run_id" in out
-        assert len(out.strip().splitlines()) == 3  # header + 2 rows
-
-    def test_ledger_list_filters(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self.seed_ledger(tmp_path)
-        assert main(["ledger", "--path", path,
-                     "--spec", "zzzz"]) == 0
-        assert "no matching runs" in capsys.readouterr().out
-        digest = RunLedger(path=path).entries()[0]["spec_digest"]
-        assert main(["ledger", "--path", path, "--spec", digest[:6]]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 3
-
-    def test_ledger_diff_and_exit_codes(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "ledger.jsonl")
-        ledger = RunLedger(path=path)
-        ledger.append(fake_record(points_per_sec=10.0))
-        ledger.append(fake_record(points_per_sec=4.0))
-        assert main(["ledger", "diff", "-2", "-1", "--path", path]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
-        assert main(["ledger", "diff", "-1", "-2", "--path", path]) == 0
-        assert main(["ledger", "diff", "-1", "--path", path]) == 2
-        capsys.readouterr()
-        assert main(["ledger", "diff", "some.json", "-1",
-                     "--path", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-
-    def test_ledger_validate(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self.seed_ledger(tmp_path)
-        with open(path, "a", encoding="ascii") as fh:
-            fh.write("garbage\n")
-        assert main(["ledger", "validate", "--path", path]) == 1
-        assert "LEDGER VIOLATION" in capsys.readouterr().err
-
-    def test_ledger_validate_unreadable_path(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["ledger", "validate", "--path", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.count("LEDGER VIOLATION") == 1
-
     def test_report_still_needs_app_without_compare(self, capsys):
         from repro.cli import main
 
@@ -684,22 +437,18 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--app" in capsys.readouterr().err
 
-    def test_sweep_telemetry_flags(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_telemetry_flags(self, tmp_path, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_LEDGER", "1")
         trace = str(tmp_path / "trace.json")
-        ledger_path = str(tmp_path / "ledger.jsonl")
         code = main([
             "sweep", "--apps", "x264", "--schemes", "SRAM-64TSB",
             "--workers", "1", "--no-cache", "--cycles", "200",
             "--warmup", "80", "--mesh-width", "4",
             "--capacity-scale", str(1 / 64),
             "--progress", "plain", "--trace-out", trace,
-            "--ledger-path", ledger_path,
         ])
         assert code == 0
         slices, _tracks, errors = validate_chrome_trace(trace)
         assert errors == [] and slices > 0
-        assert len(RunLedger(path=ledger_path).entries()) == 1
         assert "telemetry:" in capsys.readouterr().out
