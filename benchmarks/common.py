@@ -6,18 +6,18 @@ sets with it) scaled by ``CAPACITY_SCALE`` and a measurement window of
 ``CYCLES`` cycles after ``WARMUP`` -- a pure-Python cycle simulator
 cannot run 50M instructions per core (see DESIGN.md, "Substitutions").
 
-Simulation results are memoised per (scheme, workload, overrides) so the
-figures that share scenario runs (6, 7, 8) pay for them once.
+Every run is a :class:`~repro.sim.parallel.SweepPoint` built by
+``build_simulator``; results are memoised per point, so the figures
+that share scenario runs (6, 7, 8) pay for them once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-from repro.sim.config import Scheme, make_config, with_write_buffer
+from repro.sim.config import Scheme
+from repro.sim.parallel import SweepPoint, build_simulator
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import CMPSimulator
-from repro.workloads.mixes import Workload, homogeneous
 
 MESH_WIDTH = 8
 CAPACITY_SCALE = 1 / 16
@@ -32,52 +32,29 @@ SERVER_APPS = ("tpcc", "sjas", "sap", "sjbb")
 PARSEC_APPS = ("sclust", "ferret", "canneal", "x264")
 SPEC_APPS = ("lbm", "hmmer", "mcf", "libquantum")
 
-_result_cache: Dict[Tuple, SimulationResult] = {}
+_results: Dict[SweepPoint, SimulationResult] = {}
 
 
-def run_app(scheme: Scheme, app: str, cycles: int = CYCLES,
-            warmup: int = WARMUP, seed: int = SEED,
-            **overrides) -> SimulationResult:
-    """Run one application homogeneously under one scheme (memoised)."""
-    key = ("app", scheme, app, cycles, warmup, seed,
-           tuple(sorted(overrides.items())))
-    cached = _result_cache.get(key)
-    if cached is not None:
-        return cached
+def point(scheme: Scheme, workload: str, seed: int = SEED,
+          **overrides) -> SweepPoint:
+    """One figure-scale point; ``workload`` is any name
+    :func:`repro.workloads.make_workload` knows."""
     params = dict(mesh_width=MESH_WIDTH, capacity_scale=CAPACITY_SCALE)
     params.update(overrides)
-    add_write_buffer = params.pop("_write_buffer", False)
-    config = make_config(scheme, **params)
-    if add_write_buffer:
-        config = with_write_buffer(config)
-    sim = CMPSimulator(config, homogeneous(app, config, seed=seed))
-    result = sim.run(cycles, warmup=warmup)
-    _result_cache[key] = result
-    return result
+    return SweepPoint.build(workload, scheme, CYCLES, WARMUP, seed, params)
 
 
-def run_mix(scheme: Scheme, workload_factory, name: str,
-            cycles: int = CYCLES, warmup: int = WARMUP,
-            **overrides) -> SimulationResult:
-    """Run a multi-programmed mix under one scheme (memoised)."""
-    key = ("mix", scheme, name, cycles, warmup,
-           tuple(sorted(overrides.items())))
-    cached = _result_cache.get(key)
-    if cached is not None:
-        return cached
-    params = dict(mesh_width=MESH_WIDTH, capacity_scale=CAPACITY_SCALE)
-    params.update(overrides)
-    config = make_config(scheme, **params)
-    sim = CMPSimulator(config, workload_factory(config))
-    result = sim.run(cycles, warmup=warmup)
-    _result_cache[key] = result
+def run(scheme: Scheme, workload: str, seed: int = SEED,
+        **overrides) -> SimulationResult:
+    """Run one workload under one scheme (memoised by its point)."""
+    spec = point(scheme, workload, seed, **overrides)
+    result = _results.get(spec)
+    if result is None:
+        sim = build_simulator(spec)
+        result = _results[spec] = sim.run(spec.cycles, warmup=spec.warmup)
     return result
 
 
 def once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def scheme_label(scheme: Scheme) -> str:
-    return scheme.value

@@ -1,21 +1,10 @@
-"""Make the benchmark helpers importable as a plain module."""
+"""Make the benchmark helpers importable as a plain module.
+
+Every simulator here is built by ``build_simulator``, which resets the
+process-global state (packet ids) first, so no per-test reset is needed.
+"""
 
 import os
 import sys
 
-import pytest
-
 sys.path.insert(0, os.path.dirname(__file__))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_global_state():
-    """Isolate benchmarks from process-global counters (packet ids).
-
-    See :func:`repro.sim.reset_state`: seeded runs are only
-    reproducible if the global packet-id counter starts from zero.
-    """
-    from repro.sim import reset_state
-
-    reset_state()
-    yield

@@ -14,7 +14,7 @@ basic delay rule; this bench isolates each on a bursty server workload:
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 
-from common import once, run_app
+from common import once, run
 
 APP = "tpcc"
 
@@ -29,7 +29,7 @@ def _run_all():
         "long delay cap (132)": {"max_delay_cycles": 132},
     }
     return {
-        name: run_app(Scheme.STTRAM_4TSB_WB, APP, **overrides)
+        name: run(Scheme.STTRAM_4TSB_WB, APP, **overrides)
         for name, overrides in variants.items()
     }
 

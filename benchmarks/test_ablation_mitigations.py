@@ -9,25 +9,26 @@ the others; this bench quantifies that in this model.
 """
 
 from repro.analysis.tables import format_table
-from repro.sim.config import Scheme
+from repro.sim.config import Scheme, WriteBufferConfig
 
-from common import once, run_app
+from common import once, run
 
 APP = "tpcc"
 
 
 def _run_all():
     return {
-        "plain STT-RAM": run_app(Scheme.STTRAM_64TSB, APP),
-        "write termination": run_app(
+        "plain STT-RAM": run(Scheme.STTRAM_64TSB, APP),
+        "write termination": run(
             Scheme.STTRAM_64TSB, APP, write_termination=True),
-        "hybrid 4 SRAM ways": run_app(
+        "hybrid 4 SRAM ways": run(
             Scheme.STTRAM_64TSB, APP, hybrid_sram_ways=4),
-        "BUFF-20": run_app(Scheme.STTRAM_64TSB, APP, _write_buffer=True),
-        "WB network scheme": run_app(Scheme.STTRAM_4TSB_WB, APP),
-        "WB + termination": run_app(
+        "BUFF-20": run(Scheme.STTRAM_64TSB, APP,
+                       write_buffer=WriteBufferConfig()),
+        "WB network scheme": run(Scheme.STTRAM_4TSB_WB, APP),
+        "WB + termination": run(
             Scheme.STTRAM_4TSB_WB, APP, write_termination=True),
-        "WB + hybrid": run_app(
+        "WB + hybrid": run(
             Scheme.STTRAM_4TSB_WB, APP, hybrid_sram_ways=4),
     }
 

@@ -9,7 +9,7 @@ under the WB scheme and reports where the returns flatten.
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 
-from common import once, run_app
+from common import once, run
 
 APP = "tpcc"
 VC_SWEEP = (4, 6, 7, 8)
@@ -17,10 +17,9 @@ QUEUE_SWEEP = (2, 4, 8, 16)
 
 
 def _run_all():
-    vcs = {n: run_app(Scheme.STTRAM_4TSB_WB, APP, n_vcs=n)
+    vcs = {n: run(Scheme.STTRAM_4TSB_WB, APP, n_vcs=n)
            for n in VC_SWEEP}
-    queues = {n: run_app(Scheme.STTRAM_4TSB_WB, APP,
-                         bank_queue_entries=n)
+    queues = {n: run(Scheme.STTRAM_4TSB_WB, APP, bank_queue_entries=n)
               for n in QUEUE_SWEEP}
     return vcs, queues
 

@@ -10,9 +10,8 @@ of requests to idle banks restores a measure of fairness.
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 from repro.sim.metrics import max_slowdown, slowdowns
-from repro.workloads.mixes import case2
 
-from common import once, run_app, run_mix
+from common import once, run
 
 SCHEMES = (Scheme.STTRAM_64TSB, Scheme.STTRAM_4TSB_WB)
 
@@ -20,10 +19,10 @@ SCHEMES = (Scheme.STTRAM_64TSB, Scheme.STTRAM_4TSB_WB)
 def _run_all():
     out = {}
     for scheme in SCHEMES:
-        result = run_mix(scheme, case2, "case2")
+        result = run(scheme, "case2")
         shared = result.ipc_by_app()
         alone = {
-            app: run_app(scheme, app).ipc_by_app()[app]
+            app: run(scheme, app).ipc_by_app()[app]
             for app in shared
         }
         out[scheme] = {

@@ -9,7 +9,7 @@ overlapping) with 8 staggered regions the sweet spot.
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme, TSBPlacement
 
-from common import once, run_app
+from common import once, run
 
 APPS = ("tpcc", "sclust")
 SWEEP = (
@@ -26,7 +26,7 @@ def _run_all():
     data = {}
     for n_regions, placement in SWEEP:
         for app in APPS:
-            data[(n_regions, placement, app)] = run_app(
+            data[(n_regions, placement, app)] = run(
                 Scheme.STTRAM_4TSB_WB, app,
                 n_region_tsbs=n_regions, tsb_placement=placement,
             )

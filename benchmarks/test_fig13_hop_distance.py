@@ -7,19 +7,16 @@ beyond two hops, making H=2 the sweet spot the paper adopts.
 
 from repro.analysis.access_dist import average_requests_at_distance
 from repro.analysis.tables import format_table
-from repro.sim.config import Scheme, make_config
-from repro.sim.simulator import CMPSimulator
-from repro.workloads.mixes import homogeneous
+from repro.sim.config import Scheme
+from repro.sim.parallel import build_simulator
 
-from common import CAPACITY_SCALE, MESH_WIDTH, once, run_app
+from common import once, point, run
 
 APPS = ("tpcc", "sclust")
 
 
 def _requests_at_distances():
-    cfg = make_config(Scheme.STTRAM_4TSB, mesh_width=MESH_WIDTH,
-                      capacity_scale=CAPACITY_SCALE)
-    sim = CMPSimulator(cfg, homogeneous("tpcc", cfg))
+    sim = build_simulator(point(Scheme.STTRAM_4TSB, "tpcc"))
     for _ in range(800):
         sim.step()
     return {
@@ -31,8 +28,8 @@ def _requests_at_distances():
 
 def _ipc_sweep():
     return {
-        (app, hops): run_app(Scheme.STTRAM_4TSB_WB, app,
-                             parent_hop_distance=hops)
+        (app, hops): run(Scheme.STTRAM_4TSB_WB, app,
+                         parent_hop_distance=hops)
         for app in APPS for hops in (1, 2, 3)
     }
 

@@ -7,9 +7,9 @@ BUFF-20, the WB network scheme, and WB with one extra VC per port.
 """
 
 from repro.analysis.tables import format_table
-from repro.sim.config import Scheme
+from repro.sim.config import Scheme, WriteBufferConfig
 
-from common import once, run_app
+from common import once, run
 
 APPS = ("tpcc", "sjas", "sclust", "lbm")
 VARIANTS = ("STT-RAM", "BUFF-20", "WB", "WB +1VC")
@@ -18,10 +18,11 @@ VARIANTS = ("STT-RAM", "BUFF-20", "WB", "WB +1VC")
 def _run_all():
     data = {}
     for app in APPS:
-        base = run_app(Scheme.STTRAM_64TSB, app)
-        buffered = run_app(Scheme.STTRAM_64TSB, app, _write_buffer=True)
-        wb = run_app(Scheme.STTRAM_4TSB_WB, app)
-        wb_vc = run_app(Scheme.STTRAM_4TSB_WB, app, n_vcs=7)
+        base = run(Scheme.STTRAM_64TSB, app)
+        buffered = run(Scheme.STTRAM_64TSB, app,
+                       write_buffer=WriteBufferConfig())
+        wb = run(Scheme.STTRAM_4TSB_WB, app)
+        wb_vc = run(Scheme.STTRAM_4TSB_WB, app, n_vcs=7)
         data[app] = {
             "STT-RAM": base, "BUFF-20": buffered, "WB": wb,
             "WB +1VC": wb_vc,

@@ -11,23 +11,20 @@ from repro.analysis.access_dist import (
     access_distribution, average_requests_at_distance,
 )
 from repro.analysis.tables import format_histogram, format_table
-from repro.sim.config import Scheme, make_config
-from repro.sim.simulator import CMPSimulator
+from repro.sim.config import Scheme
+from repro.sim.parallel import build_simulator
 from repro.workloads.benchmarks import get_benchmark
-from repro.workloads.mixes import homogeneous
 
-from common import CAPACITY_SCALE, CYCLES, MESH_WIDTH, WARMUP, once
+from common import once, point
 
 APPS = ("tpcc", "sjbb", "sclust", "x264", "lbm", "hmmer", "libquantum")
 LABELS = ("<16", "<33", "<66", "<99", "<132", "<165", "165+")
 
 
 def _analyse(app):
-    cfg = make_config(Scheme.STTRAM_64TSB, mesh_width=MESH_WIDTH,
-                      capacity_scale=CAPACITY_SCALE)
-    sim = CMPSimulator(cfg, homogeneous(app, cfg),
-                       log_bank_accesses=True)
-    sim.run(CYCLES, warmup=WARMUP)
+    spec = point(Scheme.STTRAM_64TSB, app)
+    sim = build_simulator(spec, log_bank_accesses=True)
+    sim.run(spec.cycles, warmup=spec.warmup)
     dist = access_distribution([b.access_log for b in sim.banks])
     nreq = average_requests_at_distance(sim, hops=2, samples=60,
                                         interval=5)

@@ -16,7 +16,7 @@ from repro.analysis.tables import format_table
 from repro.sim.config import ALL_SCHEMES, Scheme
 from repro.sim.metrics import geometric_mean
 
-from common import PARSEC_APPS, SERVER_APPS, SPEC_APPS, once, run_app
+from common import PARSEC_APPS, SERVER_APPS, SPEC_APPS, once, run
 
 SUITES = (("SERVER", SERVER_APPS), ("PARSEC", PARSEC_APPS),
           ("SPEC", SPEC_APPS))
@@ -27,7 +27,7 @@ def _run_all():
     for _suite, apps in SUITES:
         for app in apps:
             data[app] = {
-                scheme: run_app(scheme, app) for scheme in ALL_SCHEMES
+                scheme: run(scheme, app) for scheme in ALL_SCHEMES
             }
     return data
 

@@ -10,14 +10,14 @@ from repro.analysis.breakdown import breakdown_of, normalized_breakdowns
 from repro.analysis.tables import format_table
 from repro.sim.config import ALL_SCHEMES, Scheme
 
-from common import once, run_app
+from common import once, run
 
 APPS = ("sap", "sjbb", "sclust", "lbm", "hmmer")
 
 
 def _run_all():
     return {
-        app: {scheme: run_app(scheme, app) for scheme in ALL_SCHEMES}
+        app: {scheme: run(scheme, app) for scheme in ALL_SCHEMES}
         for app in APPS
     }
 

@@ -8,7 +8,7 @@ write-intensive applications saving a little less (0.765 nJ writes).
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 
-from common import once, run_app
+from common import once, run
 
 APPS = ("tpcc", "sjas", "sclust", "x264", "lbm", "hmmer", "mcf",
         "libquantum")
@@ -19,7 +19,7 @@ SCHEMES = (Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB,
 
 def _run_all():
     return {
-        app: {scheme: run_app(scheme, app) for scheme in SCHEMES}
+        app: {scheme: run(scheme, app) for scheme in SCHEMES}
         for app in APPS
     }
 

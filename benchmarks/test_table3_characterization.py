@@ -9,14 +9,14 @@ from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 from repro.workloads.benchmarks import get_benchmark
 
-from common import once, run_app
+from common import once, run
 
 APPS = ("tpcc", "sjas", "sclust", "x264", "lbm", "hmmer", "mcf",
         "libquantum")
 
 
 def _measure(app):
-    result = run_app(Scheme.STTRAM_64TSB, app)
+    result = run(Scheme.STTRAM_64TSB, app)
     instr = result.total_instructions()
     kilo = instr / 1000.0
     l1mpki = result.l1_misses / kilo if kilo else 0.0

@@ -13,6 +13,8 @@ import sys
 
 from repro.analysis.access_dist import distribution_for_app
 from repro.analysis.tables import format_histogram
+from repro.sim.config import Scheme
+from repro.sim.parallel import SweepPoint
 
 LABELS = ("<16", "<33", "<66", "<99", "<132", "<165", "165+")
 DEFAULT_APPS = ("tpcc", "sclust", "x264", "libquantum")
@@ -21,10 +23,9 @@ DEFAULT_APPS = ("tpcc", "sclust", "x264", "libquantum")
 def main() -> None:
     apps = sys.argv[1:] or list(DEFAULT_APPS)
     for app in apps:
-        dist = distribution_for_app(
-            app, mesh_width=8, capacity_scale=1 / 16,
-            cycles=2500, warmup=1000,
-        )
+        dist = distribution_for_app(SweepPoint.build(
+            app, Scheme.STTRAM_64TSB, 2500, 1000, 1,
+            dict(mesh_width=8, capacity_scale=1 / 16)))
         print()
         print(format_histogram(
             LABELS, dist.percentages,

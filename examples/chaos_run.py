@@ -16,11 +16,9 @@ Usage:
 import sys
 
 from repro.analysis.tables import format_table
-from repro.noc.packet import reset_packet_ids
 from repro.resilience import FaultConfig
-from repro.sim.config import Scheme, make_config
-from repro.sim.simulator import CMPSimulator
-from repro.workloads.mixes import homogeneous
+from repro.sim.config import Scheme
+from repro.sim.parallel import SweepPoint, build_simulator
 
 CYCLES = 4_000
 WARMUP = 1_500
@@ -28,12 +26,11 @@ FAIL_REGION = 0
 
 
 def run(app: str, mesh_width: int, faults=None):
-    reset_packet_ids()
-    config = make_config(Scheme.STTRAM_4TSB_WB, mesh_width=mesh_width,
-                         capacity_scale=1 / 16)
-    sim = CMPSimulator(config, homogeneous(app, config, seed=1),
-                       guard=True, faults=faults)
-    result = sim.run(CYCLES, warmup=WARMUP)
+    point = SweepPoint.build(
+        app, Scheme.STTRAM_4TSB_WB, CYCLES, WARMUP, 1,
+        dict(mesh_width=mesh_width, capacity_scale=1 / 16))
+    sim = build_simulator(point, guard=True, faults=faults)
+    result = sim.run(point.cycles, warmup=point.warmup)
     return sim, result
 
 

@@ -10,25 +10,22 @@ Usage:
     python examples/fairness_case2.py
 """
 
-from repro import CMPSimulator, Scheme, homogeneous, make_config
+from repro import Scheme, SweepGrid, run_sweep
 from repro.analysis.tables import format_table
 from repro.sim.metrics import max_slowdown, slowdowns
-from repro.workloads.mixes import case2
+from repro.workloads import CASE2_APPS
 
 CYCLES, WARMUP = 2500, 1000
 PARAMS = dict(mesh_width=8, capacity_scale=1 / 16)
 
 
 def run_case(scheme: Scheme):
-    cfg = make_config(scheme, **PARAMS)
-    sim = CMPSimulator(cfg, case2(cfg))
-    mixed = sim.run(CYCLES, warmup=WARMUP)
-    shared = mixed.ipc_by_app()
-
-    alone = {}
-    for app in shared:
-        solo_sim = CMPSimulator(cfg, homogeneous(app, cfg))
-        alone[app] = solo_sim.run(CYCLES, warmup=WARMUP).ipc_by_app()[app]
+    sweep = run_sweep(SweepGrid(
+        apps=["case2", *CASE2_APPS], schemes=(scheme,), cycles=CYCLES,
+        warmup=WARMUP, overrides=PARAMS))
+    ipc = sweep.metric("ipc_by_app")
+    shared = ipc["case2"][scheme.value]
+    alone = {app: ipc[app][scheme.value][app] for app in shared}
     return slowdowns(shared, alone), max_slowdown(shared, alone)
 
 

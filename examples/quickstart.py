@@ -12,7 +12,7 @@ Usage:
 
 import sys
 
-from repro import ALL_SCHEMES, Scheme, app_factory, compare_schemes
+from repro import ALL_SCHEMES, Scheme, SweepGrid, run_sweep
 from repro.analysis.tables import format_table
 
 
@@ -22,26 +22,28 @@ def main() -> None:
 
     print(f"Running {app} under all six schemes "
           f"({mesh_width}x{mesh_width} mesh per layer)...")
-    comparison = compare_schemes(
-        app_factory(app), app,
-        cycles=2500, warmup=1000,
-        mesh_width=mesh_width, capacity_scale=1 / 16,
-    )
+    sweep = run_sweep(SweepGrid(
+        apps=[app], cycles=2500, warmup=1000,
+        overrides=dict(mesh_width=mesh_width, capacity_scale=1 / 16),
+    ))
 
-    throughput = comparison.normalized_throughput()
-    energy = comparison.normalized_energy()
+    baseline = Scheme.SRAM_64TSB.value
+    throughput = sweep.normalized("instruction_throughput", baseline)[app]
+    energy = sweep.normalized("uncore_energy_j", baseline)[app]
+    results = sweep.data[app]
     rows = []
     for scheme in ALL_SCHEMES:
-        result = comparison.results[scheme]
+        label = scheme.value
+        result = results[label]
         rows.append([
-            scheme.value,
-            round(throughput[scheme], 3),
-            round(result.avg_bank_queue_wait, 1),
-            round(result.avg_packet_latency, 1),
-            round(result.latency_p95),
-            round(result.latency_p99),
-            result.delayed_cycle_sum,
-            round(energy[scheme], 3),
+            label,
+            round(throughput[label], 3),
+            round(result["avg_bank_queue_wait"], 1),
+            round(result["avg_packet_latency"], 1),
+            round(result["latency_p95"]),
+            round(result["latency_p99"]),
+            result["delayed_cycle_sum"],
+            round(energy[label], 3),
         ])
     print()
     print(format_table(
@@ -51,13 +53,13 @@ def main() -> None:
         title=f"{app}: normalised to {Scheme.SRAM_64TSB.value}",
     ))
     print()
-    wb = comparison.results[Scheme.STTRAM_4TSB_WB]
-    plain = comparison.results[Scheme.STTRAM_4TSB]
-    saved = plain.avg_bank_queue_wait - wb.avg_bank_queue_wait
+    wb = results[Scheme.STTRAM_4TSB_WB.value]
+    plain = results[Scheme.STTRAM_4TSB.value]
+    saved = plain["avg_bank_queue_wait"] - wb["avg_bank_queue_wait"]
     print(f"The WB estimator trimmed {saved:.1f} cycles of average bank "
           "queueing relative to the restriction-only MRAM-4TSB baseline.")
-    if wb.estimator_accuracy:
-        acc = wb.estimator_accuracy
+    if wb["estimator_accuracy"]:
+        acc = wb["estimator_accuracy"]
         print(f"Its busy predictions were right {100 * acc['accuracy']:.1f}% "
               f"of the time ({acc['over_predictions']} over- and "
               f"{acc['under_predictions']} under-predictions of "

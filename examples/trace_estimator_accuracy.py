@@ -19,14 +19,12 @@ Usage:
 
 import sys
 
-from repro.noc.packet import reset_packet_ids
 from repro.obs import Observability
 from repro.obs.report import (
     format_accuracy_table, format_bank_heatmap, format_epoch_table,
 )
-from repro.sim.config import Scheme, make_config
-from repro.sim.experiment import app_factory
-from repro.sim.simulator import CMPSimulator
+from repro.sim.config import Scheme
+from repro.sim.parallel import SweepPoint, build_simulator
 
 SCHEMES = (
     ("SS", Scheme.STTRAM_4TSB_SS),
@@ -43,13 +41,13 @@ def main() -> None:
     wb_obs = None
     for label, scheme in SCHEMES:
         print(f"tracing {app} under {scheme.value} ({label})...")
-        reset_packet_ids()  # identical packet streams across schemes
-        config = make_config(scheme, mesh_width=mesh_width,
-                             capacity_scale=1 / 16)
-        sim = CMPSimulator(config, app_factory(app)(config))
+        point = SweepPoint.build(
+            app, scheme, 2500, 1000, 1,
+            dict(mesh_width=mesh_width, capacity_scale=1 / 16))
+        sim = build_simulator(point)
         obs = Observability(epoch=256)
         obs.attach(sim)
-        result = sim.run(2500, warmup=1000)
+        result = sim.run(point.cycles, warmup=point.warmup)
         summaries.append(result.estimator_accuracy)
         if scheme is Scheme.STTRAM_4TSB_WB:
             wb_obs = obs

@@ -12,22 +12,21 @@ Usage:
 
 import sys
 
-from repro import CMPSimulator, Scheme, homogeneous, make_config
+from repro import Scheme, SweepPoint, build_simulator
 from repro.analysis.tables import format_table
 from repro.analysis.utilization import LinkUtilizationProbe
 from repro.sim.config import TSBPlacement
 
 
 def probe(app: str, placement: TSBPlacement):
-    cfg = make_config(
-        Scheme.STTRAM_4TSB_WB, mesh_width=8, capacity_scale=1 / 16,
-        tsb_placement=placement,
-    )
-    sim = CMPSimulator(cfg, homogeneous(app, cfg))
-    for _ in range(1000):
+    point = SweepPoint.build(
+        app, Scheme.STTRAM_4TSB_WB, 2000, 1000, 1,
+        dict(mesh_width=8, capacity_scale=1 / 16, tsb_placement=placement))
+    sim = build_simulator(point)
+    for _ in range(point.warmup):
         sim.step()  # warm up before attaching the probe
     link_probe = LinkUtilizationProbe(sim.network)
-    for _ in range(2000):
+    for _ in range(point.cycles):
         sim.step()
     return sim, link_probe
 

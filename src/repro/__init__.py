@@ -9,24 +9,23 @@ router arbitration.
 
 Quickstart::
 
-    from repro import Scheme, app_factory, compare_schemes
+    from repro import SweepGrid, run_sweep
 
-    cmp_ = compare_schemes(app_factory("tpcc"), "tpcc", mesh_width=4,
-                           capacity_scale=1 / 64)
-    print(cmp_.normalized_throughput())
+    sweep = run_sweep(SweepGrid(apps=["tpcc"], overrides=dict(
+        mesh_width=4, capacity_scale=1 / 64)))
+    print(sweep.normalized("instruction_throughput", "SRAM-64TSB"))
 """
 
 from repro.sim import (
     ALL_SCHEMES, CacheTechnology, CMPSimulator, Estimator, Scheme,
-    SchemeComparison, SimulationResult, SweepGrid, SweepPoint,
-    SweepResults, SystemConfig, TSBPlacement, WriteBufferConfig,
-    app_factory, compare_schemes, instruction_throughput, make_config,
-    max_slowdown, run_scheme, run_sweep, run_workload, weighted_speedup,
-    with_extra_vc, with_write_buffer,
+    SimulationResult, SweepGrid, SweepPoint, SweepResults, SystemConfig,
+    TSBPlacement, WriteBufferConfig, build_simulator,
+    instruction_throughput, make_config, max_slowdown, run_sweep,
+    weighted_speedup,
 )
 from repro.workloads import (
     BenchmarkSpec, Workload, all_benchmarks, case1, case2, case3_mixes,
-    get_benchmark, homogeneous, mix, suite_benchmarks,
+    get_benchmark, homogeneous, make_workload, mix, suite_benchmarks,
 )
 
 __version__ = "1.0.0"
@@ -34,12 +33,10 @@ __version__ = "1.0.0"
 __all__ = [
     "SystemConfig", "Scheme", "ALL_SCHEMES", "CacheTechnology",
     "Estimator", "TSBPlacement", "WriteBufferConfig", "make_config",
-    "with_write_buffer", "with_extra_vc", "CMPSimulator",
-    "SimulationResult", "SchemeComparison", "compare_schemes",
-    "run_scheme", "run_workload", "app_factory",
+    "CMPSimulator", "SimulationResult", "build_simulator",
     "instruction_throughput", "weighted_speedup", "max_slowdown",
     "SweepGrid", "SweepPoint", "SweepResults", "run_sweep",
     "BenchmarkSpec", "get_benchmark", "suite_benchmarks",
     "all_benchmarks", "Workload", "homogeneous", "mix", "case1", "case2",
-    "case3_mixes", "__version__",
+    "case3_mixes", "make_workload", "__version__",
 ]

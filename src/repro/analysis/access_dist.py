@@ -119,20 +119,11 @@ def average_requests_at_distance(sim, hops: int, samples: int = 200,
     return total / observations if observations else 0.0
 
 
-def distribution_for_app(app: str, scheme=None, mesh_width: int = 8,
-                         capacity_scale: float = 1 / 16,
-                         cycles: int = 3000, warmup: int = 1200
-                         ) -> AccessDistribution:
-    """Run one application and return its Figure 3 histogram."""
-    from repro.sim.config import Scheme, make_config
-    from repro.sim.simulator import CMPSimulator
-    from repro.workloads.mixes import homogeneous
+def distribution_for_app(point) -> AccessDistribution:
+    """Run one :class:`~repro.sim.parallel.SweepPoint` and return its
+    Figure 3 histogram."""
+    from repro.sim.parallel import build_simulator
 
-    scheme = scheme or Scheme.STTRAM_64TSB
-    config = make_config(
-        scheme, mesh_width=mesh_width, capacity_scale=capacity_scale,
-    )
-    workload = homogeneous(app, config)
-    sim = CMPSimulator(config, workload, log_bank_accesses=True)
-    sim.run(cycles, warmup=warmup)
+    sim = build_simulator(point, log_bank_accesses=True)
+    sim.run(point.cycles, warmup=point.warmup)
     return access_distribution([b.access_log for b in sim.banks])

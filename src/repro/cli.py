@@ -15,7 +15,9 @@ Subcommands::
 
 All experiment subcommands accept ``--mesh-width``, ``--capacity-scale``,
 ``--cycles``, ``--warmup`` and ``--seed``; ``run`` also accepts
-``--json`` for machine-readable output.
+``--json`` for machine-readable output.  ``--app``/``--apps`` take any
+:func:`repro.workloads.make_workload` name (an app, ``case1``,
+``case2``, ``case3-2x4-1``); each run is a ``SweepPoint``.
 
 Configuration errors (and any other typed ``ReproError``) exit with
 status 2 and a one-line message on stderr rather than a traceback.
@@ -34,8 +36,9 @@ from typing import Optional, Sequence
 from repro.analysis.access_dist import distribution_for_app
 from repro.analysis.tables import format_histogram, format_table
 from repro.errors import ReproError
-from repro.sim.config import ALL_SCHEMES, Scheme, make_config, parse_scheme
-from repro.sim.experiment import app_factory, compare_schemes, run_scheme
+from repro.sim.config import ALL_SCHEMES, Scheme, parse_scheme
+from repro.sim.parallel import SweepPoint, build_simulator, simulate_point
+from repro.sim.sweep import SweepGrid, run_sweep
 from repro.workloads.benchmarks import (
     all_benchmarks, characterization_table,
 )
@@ -61,6 +64,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _overrides(args) -> dict:
     return dict(mesh_width=args.mesh_width,
                 capacity_scale=args.capacity_scale)
+
+
+def _point(args, scheme: Optional[Scheme] = None) -> SweepPoint:
+    """The point the common arguments name, under ``--scheme`` unless
+    ``scheme`` is given."""
+    return SweepPoint.build(
+        args.app, scheme or _SCHEME_BY_NAME[args.scheme], args.cycles,
+        args.warmup, args.seed, _overrides(args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,37 +200,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    scheme = _SCHEME_BY_NAME[args.scheme]
-    result = run_scheme(
-        scheme, app_factory(args.app, seed=args.seed),
-        cycles=args.cycles, warmup=args.warmup, **_overrides(args),
-    )
+    summary = simulate_point(_point(args))
     if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
-    summary = result.to_dict()
     rows = [[k, round(v, 4) if isinstance(v, float) else v]
             for k, v in summary.items() if not isinstance(v, dict)]
     print(format_table(["metric", "value"], rows,
-                       title=f"{args.app} under {scheme.value}"))
+                       title=f"{args.app} under {args.scheme}"))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    comparison = compare_schemes(
-        app_factory(args.app, seed=args.seed), args.app,
-        cycles=args.cycles, warmup=args.warmup, **_overrides(args),
-    )
-    throughput = comparison.normalized_throughput()
-    energy = comparison.normalized_energy()
+    sweep = run_sweep(SweepGrid(
+        apps=[args.app], cycles=args.cycles, warmup=args.warmup,
+        seed=args.seed, overrides=_overrides(args)))
+    baseline = Scheme.SRAM_64TSB.value
+    throughput = sweep.normalized("instruction_throughput", baseline)
+    energy = sweep.normalized("uncore_energy_j", baseline)
     rows = []
     for scheme in ALL_SCHEMES:
-        result = comparison.results[scheme]
+        label = scheme.value
+        result = sweep.data[args.app][label]
         rows.append([
-            scheme.value, round(throughput[scheme], 3),
-            round(result.avg_bank_queue_wait, 1),
-            round(result.avg_packet_latency, 1),
-            round(energy[scheme], 3),
+            label, round(throughput[args.app][label], 3),
+            round(result["avg_bank_queue_wait"], 1),
+            round(result["avg_packet_latency"], 1),
+            round(energy[args.app][label], 3),
         ])
     print(format_table(
         ["scheme", "throughput", "bank queue", "pkt latency", "energy"],
@@ -237,11 +244,7 @@ def _cmd_table3(_args) -> int:
 
 
 def _cmd_fig3(args) -> int:
-    dist = distribution_for_app(
-        args.app, mesh_width=args.mesh_width,
-        capacity_scale=args.capacity_scale, cycles=args.cycles,
-        warmup=args.warmup,
-    )
+    dist = distribution_for_app(_point(args, Scheme.STTRAM_64TSB))
     labels = ["<16", "<33", "<66", "<99", "<132", "<165", "165+"]
     print(format_histogram(
         labels, dist.percentages,
@@ -252,7 +255,6 @@ def _cmd_fig3(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.sim.parallel import SweepRunStats, resolve_workers
-    from repro.sim.sweep import SweepGrid, run_sweep
 
     apps = [a for a in args.apps.split(",") if a]
     if args.schemes:
@@ -329,7 +331,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _chaos_fault_config(args, config):
+def _chaos_fault_config(args, n_banks: int):
     """Build the FaultConfig for the chaos subcommand's fault choice."""
     from repro.resilience import FaultConfig
 
@@ -342,30 +344,25 @@ def _chaos_fault_config(args, config):
     if args.fault in ("bank-port", "all"):
         duration = args.bank_fail_duration or None
         kwargs["bank_port_failures"] = (
-            (config.n_banks // 2, fire_at, duration),
+            (n_banks // 2, fire_at, duration),
         )
     return FaultConfig(**kwargs)
 
 
 def _cmd_chaos(args) -> int:
-    from repro.noc.packet import reset_packet_ids
-    from repro.sim.simulator import CMPSimulator
-
-    scheme = _SCHEME_BY_NAME[args.scheme]
-    config = make_config(scheme, **_overrides(args))
-    faults = _chaos_fault_config(args, config)
+    point = _point(args)
+    # One bank per node of a layer.
+    faults = _chaos_fault_config(args, args.mesh_width ** 2)
 
     def one_run():
-        reset_packet_ids()
-        workload = app_factory(args.app, seed=args.seed)(config)
-        sim = CMPSimulator(config, workload, guard=True, faults=faults)
-        result = sim.run(args.cycles, warmup=args.warmup)
+        sim = build_simulator(point, guard=True, faults=faults)
+        result = sim.run(point.cycles, warmup=point.warmup)
         return sim, result
 
     sim, result = one_run()
     payload = {
         "app": args.app,
-        "scheme": scheme.value,
+        "scheme": args.scheme,
         "fault": args.fault,
         "faults": sim.fault_plane.report(),
         "guard": sim.guard.report(),
@@ -389,7 +386,7 @@ def _cmd_chaos(args) -> int:
             ["counter", "value"],
             [[k, v] for k, v in sorted(fp.items())
              if not isinstance(v, dict)],
-            title=f"{args.app} under {scheme.value} "
+            title=f"{args.app} under {args.scheme} "
                   f"(fault={args.fault}, seed={args.fault_seed})"))
         print(f"guard: {payload['guard']['checks_run']} checks, "
               f"{payload['guard']['violations']} violations")
@@ -407,14 +404,7 @@ def _cmd_chaos(args) -> int:
 
 def _instrumented_run(args, obs):
     """Build, attach and run one instrumented simulation."""
-    from repro.noc.packet import reset_packet_ids
-    from repro.sim.simulator import CMPSimulator
-
-    reset_packet_ids()
-    scheme = _SCHEME_BY_NAME[args.scheme]
-    config = make_config(scheme, **_overrides(args))
-    workload = app_factory(args.app, seed=args.seed)(config)
-    sim = CMPSimulator(config, workload)
+    sim = build_simulator(_point(args))
     obs.attach(sim)
     result = sim.run(args.cycles, warmup=args.warmup)
     return sim, result

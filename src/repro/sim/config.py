@@ -404,19 +404,3 @@ def make_config(scheme: Scheme, **overrides) -> SystemConfig:
     ):
         cfg = replace(cfg, n_region_tsbs=max(1, cfg.nodes_per_layer // 4))
     return cfg.validate()
-
-
-def with_write_buffer(config: SystemConfig, entries: int = 20,
-                      read_preemption: bool = True) -> SystemConfig:
-    """Return a copy of ``config`` with the BUFF-N comparator enabled."""
-    return replace(
-        config,
-        write_buffer=WriteBufferConfig(
-            entries=entries, read_preemption=read_preemption
-        ),
-    ).validate()
-
-
-def with_extra_vc(config: SystemConfig, extra: int = 1) -> SystemConfig:
-    """Return a copy of ``config`` with ``extra`` more VCs per port (+1 VC)."""
-    return replace(config, n_vcs=config.n_vcs + extra).validate()

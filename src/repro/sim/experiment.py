@@ -1,132 +1,18 @@
-"""Experiment harness: run design scenarios and normalise results.
+"""Workload factory kept for ``bench/specs.py``.
 
-The paper reports every figure normalised to the SRAM-64TSB baseline;
-:func:`compare_schemes` runs a workload under any set of schemes with
-identical seeds and returns both raw and normalised results.
+Every named run is a :class:`~repro.sim.parallel.SweepPoint` built by
+:func:`repro.sim.parallel.build_simulator`.  This module keeps only
+:func:`app_factory`, because ``bench/specs.py`` imports it and the
+benchmark's sources change only together with its recorded results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+import functools
 
-from repro.sim.config import ALL_SCHEMES, Scheme, SystemConfig, make_config
-from repro.sim.results import SimulationResult
-from repro.sim.simulator import CMPSimulator
-from repro.workloads.mixes import Workload, homogeneous
-
-#: Default measurement windows for quick experiments; headline runs in
-#: the benchmarks use larger values (recorded per-experiment in
-#: EXPERIMENTS.md).
-DEFAULT_WARMUP = 2_000
-DEFAULT_CYCLES = 6_000
-
-WorkloadFactory = Callable[[SystemConfig], Workload]
+from repro.workloads.mixes import make_workload
 
 
-@dataclass
-class SchemeComparison:
-    """Results of one workload across several schemes."""
-
-    workload_name: str
-    results: Dict[Scheme, SimulationResult]
-    baseline: Scheme = Scheme.SRAM_64TSB
-
-    def normalized(self, metric: Callable[[SimulationResult], float]
-                   ) -> Dict[Scheme, float]:
-        """Metric per scheme divided by the baseline scheme's value."""
-        base = metric(self.results[self.baseline])
-        if base == 0:
-            return {s: 0.0 for s in self.results}
-        return {s: metric(r) / base for s, r in self.results.items()}
-
-    def normalized_throughput(self) -> Dict[Scheme, float]:
-        return self.normalized(lambda r: r.instruction_throughput())
-
-    def normalized_slowest_ipc(self) -> Dict[Scheme, float]:
-        return self.normalized(lambda r: r.slowest_ipc())
-
-    def normalized_energy(self) -> Dict[Scheme, float]:
-        return self.normalized(lambda r: r.uncore_energy())
-
-
-def run_workload(
-    config: SystemConfig,
-    workload_factory: WorkloadFactory,
-    cycles: int = DEFAULT_CYCLES,
-    warmup: int = DEFAULT_WARMUP,
-    log_bank_accesses: bool = False,
-    guard=None,
-    faults=None,
-) -> SimulationResult:
-    """Build and run one simulation; returns its measurement window.
-
-    ``guard``/``faults`` are forwarded to :class:`CMPSimulator` (the
-    invariant guard and the deterministic fault plane; see
-    :mod:`repro.sim.guard` and :mod:`repro.resilience`).
-    """
-    workload = workload_factory(config)
-    sim = CMPSimulator(config, workload,
-                       log_bank_accesses=log_bank_accesses,
-                       guard=guard, faults=faults)
-    return sim.run(cycles, warmup=warmup)
-
-
-def run_scheme(
-    scheme: Scheme,
-    workload_factory: WorkloadFactory,
-    cycles: int = DEFAULT_CYCLES,
-    warmup: int = DEFAULT_WARMUP,
-    guard=None,
-    faults=None,
-    **config_overrides,
-) -> SimulationResult:
-    """Run one design scenario on one workload."""
-    config = make_config(scheme, **config_overrides)
-    return run_workload(config, workload_factory, cycles, warmup,
-                        guard=guard, faults=faults)
-
-
-def compare_schemes(
-    workload_factory: WorkloadFactory,
-    workload_name: str,
-    schemes: Sequence[Scheme] = ALL_SCHEMES,
-    cycles: int = DEFAULT_CYCLES,
-    warmup: int = DEFAULT_WARMUP,
-    **config_overrides,
-) -> SchemeComparison:
-    """Run one workload under several schemes with matched seeds."""
-    results = {}
-    for scheme in schemes:
-        results[scheme] = run_scheme(
-            scheme, workload_factory, cycles, warmup, **config_overrides,
-        )
-    baseline = (
-        Scheme.SRAM_64TSB if Scheme.SRAM_64TSB in results
-        else next(iter(results))
-    )
-    return SchemeComparison(workload_name, results, baseline=baseline)
-
-
-@dataclass(frozen=True)
-class HomogeneousWorkloadFactory:
-    """Picklable workload factory for a homogeneous run of one app.
-
-    A named top-level class rather than a closure so grid points can be
-    shipped to process-pool workers (closures do not pickle).
-    """
-
-    app: str
-    seed: int = 1
-
-    def __call__(self, config: SystemConfig) -> Workload:
-        return homogeneous(self.app, config, seed=self.seed)
-
-    @property
-    def __name__(self) -> str:  # parity with plain-function factories
-        return f"homogeneous_{self.app}"
-
-
-def app_factory(app: str, seed: int = 1) -> WorkloadFactory:
-    """Workload factory for a homogeneous run of one application."""
-    return HomogeneousWorkloadFactory(app, seed)
+def app_factory(app: str, seed: int = 1):
+    """``config -> Workload`` for the workload named ``app``."""
+    return functools.partial(make_workload, app, seed=seed)

@@ -50,7 +50,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ReproError
@@ -126,13 +126,22 @@ def code_version() -> str:
 
 
 def _json_safe(value):
-    """Canonical JSON-compatible form of a config-override value."""
+    """Canonical JSON-compatible form of a config-override value: a
+    frozen dataclass (BUFF-N's ``WriteBufferConfig``) becomes
+    ``{"Type": {field: value}}`` with its fields sorted."""
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
+    if (is_dataclass(value) and not isinstance(value, type)
+            and value.__dataclass_params__.frozen):
+        names = sorted(f.name for f in fields(value))
+        return {type(value).__name__: {
+            name: _json_safe(getattr(value, name)) for name in names
+        }}
     raise ConfigError(
-        f"override value {value!r} is not cacheable; use scalars or enums"
+        f"override value {value!r} is not cacheable; use scalars, enums "
+        "or frozen dataclasses of them"
     )
 
 
@@ -145,6 +154,8 @@ class SweepPoint:
     process state.
     """
 
+    #: Workload name: an app, ``case1``, ``case2`` or a Case 3 mix
+    #: (see :func:`repro.workloads.make_workload`).
     app: str
     scheme: Scheme
     cycles: int
@@ -270,6 +281,22 @@ class SweepCache:
 # ----------------------------------------------------------------------
 
 
+def build_simulator(spec: SweepPoint, **options):
+    """The simulator ``spec`` names, built from a reset process state:
+    the one place a point becomes a simulator.  ``options`` (``guard``,
+    ``faults``, ``log_bank_accesses``, ``scheduler``) go to
+    ``CMPSimulator``; the caller runs the point's window."""
+    from repro.sim import reset_state
+    from repro.sim.config import make_config
+    from repro.sim.simulator import CMPSimulator
+    from repro.workloads.mixes import make_workload
+
+    reset_state()
+    config = make_config(spec.scheme, **spec.overrides_dict())
+    workload = make_workload(spec.app, config, spec.seed)
+    return CMPSimulator(config, workload, **options)
+
+
 def simulate_point(spec: SweepPoint, recorder=None) -> Dict:
     """Simulate one grid point from a clean process-global state.
 
@@ -280,21 +307,13 @@ def simulate_point(spec: SweepPoint, recorder=None) -> Dict:
     ``engine.setup``/``engine.simulate`` spans; it observes wall time
     only and never alters the summary.
     """
-    from repro.sim import reset_state
-    from repro.sim.config import make_config
-    from repro.sim.experiment import app_factory
-    from repro.sim.simulator import CMPSimulator
-
     def span(name: str):
         if recorder is None:
             return contextlib.nullcontext()
         return recorder.span(name, app=spec.app, scheme=spec.scheme.value)
 
     with span("engine.setup"):
-        reset_state()
-        config = make_config(spec.scheme, **spec.overrides_dict())
-        workload = app_factory(spec.app, seed=spec.seed)(config)
-        sim = CMPSimulator(config, workload)
+        sim = build_simulator(spec)
     with span("engine.simulate"):
         result = sim.run(spec.cycles, warmup=spec.warmup)
     return result.to_dict()

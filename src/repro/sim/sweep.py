@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.sim.config import ALL_SCHEMES, Scheme
 from repro.sim.parallel import (
-    ProgressFn, SweepPoint, SweepRunStats, run_points,
+    ProgressFn, SweepPoint, SweepRunStats, _json_safe, run_points,
 )
 
 
@@ -65,7 +65,8 @@ class SweepGrid:
             "cycles": self.cycles,
             "warmup": self.warmup,
             "seed": self.seed,
-            "overrides": dict(self.overrides),
+            "overrides": {name: _json_safe(value)
+                          for name, value in self.overrides.items()},
         }
 
 

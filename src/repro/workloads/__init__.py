@@ -6,7 +6,7 @@ from repro.workloads.benchmarks import (
 )
 from repro.workloads.mixes import (
     CASE1_APPS, CASE2_APPS, Workload, case1, case2, case3_mixes,
-    homogeneous, mix,
+    homogeneous, make_workload, mix,
 )
 from repro.workloads.synthetic import SyntheticStream
 
@@ -14,5 +14,6 @@ __all__ = [
     "BenchmarkSpec", "get_benchmark", "suite_benchmarks", "all_benchmarks",
     "characterization_table", "SERVER", "PARSEC", "SPEC",
     "Workload", "homogeneous", "mix", "case1", "case2", "case3_mixes",
+    "make_workload",
     "CASE1_APPS", "CASE2_APPS", "SyntheticStream",
 ]

@@ -15,6 +15,7 @@ Section 4.2 evaluates three multi-programmed scenarios:
 from __future__ import annotations
 
 import random
+import re
 from typing import Dict, List, Optional, Sequence
 
 from repro.cpu.trace import AccessStream
@@ -149,3 +150,26 @@ def case3_mixes(config: SystemConfig, n_mixes: int = 32,
             mix(chosen, config, seed=seed + i, name=f"case3-{tag}-{i}")
         )
     return workloads
+
+
+def make_workload(name: str, config: SystemConfig, seed: int = 1) -> Workload:
+    """The registry of workload names a sweep point can carry.
+
+    ``name`` is a Table 3 application run on every core, ``case1``,
+    ``case2``, or ``case3-<n_mixes>x<apps_per_mix>-<index>``, which is
+    ``case3_mixes(config, n_mixes, apps_per_mix, seed)[index]``.  A
+    malformed or out-of-range Case 3 name, like an unknown application,
+    raises :class:`~repro.errors.WorkloadError`.
+    """
+    if name in ("case1", "case2"):
+        return (case1 if name == "case1" else case2)(config, seed)
+    match = re.fullmatch(r"case3-(\d+)x(\d+)-(\d+)", name)
+    if match:
+        n_mixes, apps_per_mix, index = map(int, match.groups())
+        if index < n_mixes:
+            return case3_mixes(config, n_mixes, apps_per_mix, seed)[index]
+    if name.startswith("case3-"):
+        raise WorkloadError(
+            f"bad Case 3 workload {name!r}: expected "
+            "case3-<n_mixes>x<apps_per_mix>-<index>, index < n_mixes")
+    return homogeneous(name, config, seed)

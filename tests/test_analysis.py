@@ -11,6 +11,8 @@ from repro.analysis.breakdown import (
 from repro.analysis.tables import (
     format_histogram, format_table, normalized_series,
 )
+from repro.sim.config import Scheme
+from repro.sim.parallel import SweepPoint
 
 
 class TestAccessDistribution:
@@ -57,12 +59,13 @@ class TestAccessDistribution:
         assert dist.percentages == [0.0] * 7
 
     def test_bursty_app_has_higher_queued_fraction(self):
-        bursty = distribution_for_app(
-            "tpcc", mesh_width=4, capacity_scale=1 / 64,
-            cycles=1500, warmup=600)
-        calm = distribution_for_app(
-            "mcf", mesh_width=4, capacity_scale=1 / 64,
-            cycles=1500, warmup=600)
+        def point(app):
+            return SweepPoint.build(
+                app, Scheme.STTRAM_64TSB, 1500, 600, 1,
+                {"mesh_width": 4, "capacity_scale": 1 / 64})
+
+        bursty = distribution_for_app(point("tpcc"))
+        calm = distribution_for_app(point("mcf"))
         assert bursty.queued_fraction() > calm.queued_fraction()
 
 

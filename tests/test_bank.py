@@ -6,7 +6,7 @@ from repro.cache.bank import BankController
 from repro.cache.messages import MemMsg, Transaction
 from repro.noc.packet import Packet, PacketClass
 from repro.sim.config import (
-    Scheme, SystemConfig, make_config, with_write_buffer,
+    Scheme, SystemConfig, WriteBufferConfig, make_config,
 )
 
 
@@ -184,8 +184,9 @@ class TestFlowControl:
 class TestWriteBufferIntegration:
     @pytest.fixture
     def buffered(self):
-        cfg = with_write_buffer(make_config(
-            Scheme.STTRAM_64TSB, mesh_width=4, capacity_scale=1 / 256))
+        cfg = make_config(
+            Scheme.STTRAM_64TSB, mesh_width=4, capacity_scale=1 / 256,
+            write_buffer=WriteBufferConfig())
         return Harness(cfg)
 
     def test_write_absorbed_at_sram_speed(self, buffered):

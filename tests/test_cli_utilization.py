@@ -53,6 +53,14 @@ class TestCLI:
         assert "queued" in out
         assert "165+" in out
 
+    def test_fig3_honours_seed(self, capsys):
+        outputs = []
+        for seed in ("1", "2"):
+            assert main(["fig3", "--app", "tpcc", "--seed", seed]
+                        + FAST) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+
     def test_bad_scheme_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--app", "tpcc", "--scheme", "bogus"])

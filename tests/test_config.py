@@ -7,8 +7,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.sim.config import (
     ALL_SCHEMES, CacheTechnology, Estimator, Scheme, SystemConfig,
-    TSBPlacement, make_config, parse_scheme, with_extra_vc,
-    with_write_buffer,
+    TSBPlacement, WriteBufferConfig, make_config, parse_scheme,
 )
 
 
@@ -201,21 +200,20 @@ class TestCLIExitCodes:
 
 class TestComparators:
     def test_write_buffer_helper(self):
-        cfg = with_write_buffer(make_config(Scheme.STTRAM_64TSB))
+        # BUFF-20 is the override write_buffer=WriteBufferConfig().
+        cfg = make_config(Scheme.STTRAM_64TSB,
+                          write_buffer=WriteBufferConfig())
         assert cfg.write_buffer is not None
         assert cfg.write_buffer.entries == 20
         assert cfg.write_buffer.read_preemption
 
     def test_write_buffer_custom_size(self):
-        cfg = with_write_buffer(make_config(Scheme.STTRAM_64TSB),
-                                entries=8, read_preemption=False)
+        cfg = make_config(
+            Scheme.STTRAM_64TSB,
+            write_buffer=WriteBufferConfig(entries=8,
+                                           read_preemption=False))
         assert cfg.write_buffer.entries == 8
         assert not cfg.write_buffer.read_preemption
-
-    def test_extra_vc_helper(self):
-        base = make_config(Scheme.STTRAM_4TSB_WB)
-        plus = with_extra_vc(base)
-        assert plus.n_vcs == base.n_vcs + 1
 
     def test_configs_are_frozen(self):
         cfg = SystemConfig()

@@ -7,7 +7,7 @@ from repro.cache.device import (
 )
 from repro.energy.model import EnergyModel
 from repro.sim.config import (
-    CacheTechnology, Scheme, make_config, with_write_buffer,
+    CacheTechnology, Scheme, WriteBufferConfig, make_config,
 )
 
 
@@ -84,7 +84,8 @@ class TestEnergyModel:
         assert rca.network_leakage > plain.network_leakage
 
     def test_write_buffer_energy_counted(self):
-        cfg = with_write_buffer(make_config(Scheme.STTRAM_64TSB))
+        cfg = make_config(Scheme.STTRAM_64TSB,
+                          write_buffer=WriteBufferConfig())
         model = EnergyModel(cfg)
         e = model.compute(cycles=10_000, bank_reads=0, bank_writes=0,
                           router_flits=0, link_flits=0,

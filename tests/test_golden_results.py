@@ -26,12 +26,10 @@ from typing import Dict
 import pytest
 
 from repro.resilience import FaultConfig
-from repro.sim import reset_state
 from repro.sim.config import (
-    ALL_SCHEMES, Scheme, TSBPlacement, make_config, with_write_buffer,
+    ALL_SCHEMES, Scheme, TSBPlacement, WriteBufferConfig,
 )
-from repro.sim.simulator import CMPSimulator
-from repro.workloads.mixes import case1, homogeneous
+from repro.sim.parallel import SweepPoint, build_simulator
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_results.json")
@@ -42,15 +40,18 @@ SMALL = dict(mesh_width=4, capacity_scale=1 / 64)
 #: fault schedules fire mid-warmup, as ``repro.cli chaos`` does
 FAULT_AT = WARMUP // 2
 
-#: name -> (scheme, config overrides, extras).  Extras: ``app`` (default
-#: tpcc), ``mix`` (a multi-programmed workload factory), ``buffer``
-#: (BUFF-N write-buffer entries) and ``faults`` (a FaultConfig; the run
-#: then also attaches the invariant guard, as ``repro.cli chaos`` does).
+#: name -> (scheme, config overrides, extras).  Extras: ``app`` (any
+#: ``make_workload`` name; default tpcc) and ``faults`` (a FaultConfig;
+#: the run then also attaches the invariant guard, as ``repro.cli
+#: chaos`` does).  Each case is a ``SweepPoint`` run through
+#: ``build_simulator``, so the digests also pin the builder, the
+#: workload registry (mix-case1) and the dataclass override (buff-20).
 CASES: Dict[str, tuple] = {
     **{f"scheme-{s.value}": (s, SMALL, {}) for s in ALL_SCHEMES},
     "rca-period-4": (Scheme.STTRAM_4TSB_RCA,
                      dict(SMALL, rca_update_period=4), {}),
-    "buff-20": (Scheme.STTRAM_64TSB, SMALL, {"buffer": 20}),
+    "buff-20": (Scheme.STTRAM_64TSB,
+                dict(SMALL, write_buffer=WriteBufferConfig(entries=20)), {}),
     "hybrid-4-sram-ways": (Scheme.STTRAM_4TSB_WB,
                            dict(SMALL, hybrid_sram_ways=4), {}),
     # 16 regions need the 8x8 mesh: a 4x4 layer has 16 nodes in all.
@@ -68,25 +69,19 @@ CASES: Dict[str, tuple] = {
     "fault-bank-port": (Scheme.STTRAM_4TSB_WB, SMALL, {
         "faults": FaultConfig(
             seed=7, bank_port_failures=((8, FAULT_AT, 500),))}),
-    "mix-case1": (Scheme.STTRAM_4TSB_WB, SMALL, {"mix": case1}),
+    "mix-case1": (Scheme.STTRAM_4TSB_WB, SMALL, {"app": "case1"}),
 }
 
 
 def simulate(name: str, scheduler: str = "event") -> dict:
     """Run one case and return its ``SimulationResult.to_dict()``."""
     scheme, overrides, extras = CASES[name]
-    reset_state()
-    config = make_config(scheme, **overrides)
-    if "buffer" in extras:
-        config = with_write_buffer(config, entries=extras["buffer"])
-    if "mix" in extras:
-        workload = extras["mix"](config)
-    else:
-        workload = homogeneous(extras.get("app", "tpcc"), config)
+    point = SweepPoint.build(extras.get("app", "tpcc"), scheme, CYCLES,
+                             WARMUP, 1, overrides)
     faults = extras.get("faults")
-    sim = CMPSimulator(config, workload, scheduler=scheduler,
-                       guard=faults is not None, faults=faults)
-    return sim.run(CYCLES, warmup=WARMUP).to_dict()
+    sim = build_simulator(point, scheduler=scheduler,
+                          guard=faults is not None, faults=faults)
+    return sim.run(point.cycles, warmup=point.warmup).to_dict()
 
 
 def field_digests(summary: dict) -> Dict[str, str]:

@@ -7,10 +7,12 @@ the paper's evaluation rests on, not absolute numbers.
 import pytest
 
 from repro.noc.packet import PacketClass
-from repro.sim.config import ALL_SCHEMES, Scheme, make_config, \
-    with_write_buffer
-from repro.sim.experiment import app_factory, compare_schemes, run_scheme
+from repro.sim.config import (
+    ALL_SCHEMES, Scheme, WriteBufferConfig, make_config,
+)
+from repro.sim.parallel import SweepPoint, build_simulator
 from repro.sim.simulator import CMPSimulator
+from repro.sim.sweep import SweepGrid, run_sweep
 from repro.workloads.mixes import case2, homogeneous
 
 FAST = dict(mesh_width=4, capacity_scale=1 / 64)
@@ -18,89 +20,94 @@ CYCLES = 1200
 WARMUP = 600
 
 
+def run_point(app="tpcc", scheme=Scheme.STTRAM_64TSB, **overrides):
+    point = SweepPoint.build(app, scheme, CYCLES, WARMUP, 1,
+                             dict(FAST, **overrides))
+    return build_simulator(point).run(CYCLES, warmup=WARMUP)
+
+
 @pytest.fixture(scope="module")
-def tpcc_comparison():
-    return compare_schemes(app_factory("tpcc"), "tpcc",
-                           cycles=CYCLES, warmup=WARMUP, **FAST)
+def tpcc_sweep():
+    return run_sweep(SweepGrid(apps=["tpcc"], cycles=CYCLES,
+                               warmup=WARMUP, overrides=FAST))
+
+
+@pytest.fixture(scope="module")
+def tpcc(tpcc_sweep):
+    """Summary per scheme label."""
+    return tpcc_sweep.data["tpcc"]
 
 
 class TestSchemeRelations:
-    def test_all_schemes_make_progress(self, tpcc_comparison):
-        for scheme, result in tpcc_comparison.results.items():
-            assert result.total_instructions() > 0, scheme
-            assert result.packets_delivered > 0, scheme
+    def test_all_schemes_make_progress(self, tpcc):
+        for scheme, result in tpcc.items():
+            assert result["instructions"] > 0, scheme
+            assert result["packets_delivered"] > 0, scheme
 
-    def test_sttram_writes_create_bank_queueing(self, tpcc_comparison):
-        sram = tpcc_comparison.results[Scheme.SRAM_64TSB]
-        stt = tpcc_comparison.results[Scheme.STTRAM_64TSB]
-        assert stt.avg_bank_queue_wait > 3 * sram.avg_bank_queue_wait
+    def test_sttram_writes_create_bank_queueing(self, tpcc):
+        sram = tpcc[Scheme.SRAM_64TSB.value]
+        stt = tpcc[Scheme.STTRAM_64TSB.value]
+        assert stt["avg_bank_queue_wait"] > 3 * sram["avg_bank_queue_wait"]
 
-    def test_sttram_capacity_raises_hit_rate(self, tpcc_comparison):
-        sram = tpcc_comparison.results[Scheme.SRAM_64TSB]
-        stt = tpcc_comparison.results[Scheme.STTRAM_64TSB]
-        assert stt.l2_hit_rate() > sram.l2_hit_rate()
+    def test_sttram_capacity_raises_hit_rate(self, tpcc):
+        sram = tpcc[Scheme.SRAM_64TSB.value]
+        stt = tpcc[Scheme.STTRAM_64TSB.value]
+        assert stt["l2_hit_rate"] > sram["l2_hit_rate"]
 
-    def test_only_estimator_schemes_delay_packets(self, tpcc_comparison):
+    def test_only_estimator_schemes_delay_packets(self, tpcc):
         for scheme in (Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB,
                        Scheme.STTRAM_4TSB):
-            assert tpcc_comparison.results[scheme].delayed_cycle_sum == 0
+            assert tpcc[scheme.value]["delayed_cycle_sum"] == 0
         for scheme in (Scheme.STTRAM_4TSB_SS, Scheme.STTRAM_4TSB_RCA,
                        Scheme.STTRAM_4TSB_WB):
-            assert tpcc_comparison.results[scheme].delayed_cycle_sum > 0
+            assert tpcc[scheme.value]["delayed_cycle_sum"] > 0
 
-    def test_estimator_schemes_cut_bank_queueing(self, tpcc_comparison):
-        plain = tpcc_comparison.results[Scheme.STTRAM_4TSB]
-        wb = tpcc_comparison.results[Scheme.STTRAM_4TSB_WB]
-        assert wb.avg_bank_queue_wait < plain.avg_bank_queue_wait
+    def test_estimator_schemes_cut_bank_queueing(self, tpcc):
+        plain = tpcc[Scheme.STTRAM_4TSB.value]
+        wb = tpcc[Scheme.STTRAM_4TSB_WB.value]
+        assert wb["avg_bank_queue_wait"] < plain["avg_bank_queue_wait"]
 
-    def test_sttram_saves_uncore_energy(self, tpcc_comparison):
-        energy = tpcc_comparison.normalized_energy()
+    def test_sttram_saves_uncore_energy(self, tpcc_sweep):
+        energy = tpcc_sweep.normalized("uncore_energy_j",
+                                       Scheme.SRAM_64TSB.value)["tpcc"]
         for scheme in ALL_SCHEMES[1:]:
-            assert energy[scheme] < 0.75, scheme
+            assert energy[scheme.value] < 0.75, scheme
 
-    def test_normalisation_baseline_is_one(self, tpcc_comparison):
-        assert tpcc_comparison.normalized_throughput()[
-            Scheme.SRAM_64TSB] == pytest.approx(1.0)
+    def test_normalisation_baseline_is_one(self, tpcc_sweep):
+        assert tpcc_sweep.normalized(
+            "instruction_throughput", Scheme.SRAM_64TSB.value,
+        )["tpcc"][Scheme.SRAM_64TSB.value] == pytest.approx(1.0)
 
 
 class TestReadIntensiveApps:
     def test_capacity_gain_for_read_heavy_app(self):
         # The capacity effect needs the larger working sets of the
         # paper-size mesh; the 4x4 fast config understates it.
-        cmp_ = compare_schemes(
-            app_factory("mcf"), "mcf",
-            schemes=(Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB),
-            cycles=2000, warmup=1000, mesh_width=8,
-            capacity_scale=1 / 16)
-        norm = cmp_.normalized_throughput()
+        sweep = run_sweep(SweepGrid(
+            apps=["mcf"], schemes=(Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB),
+            cycles=2000, warmup=1000,
+            overrides=dict(mesh_width=8, capacity_scale=1 / 16)))
+        norm = sweep.normalized("instruction_throughput",
+                                Scheme.SRAM_64TSB.value)["mcf"]
         # Paper: read-intensive benchmarks benefit from the 4x capacity.
-        assert norm[Scheme.STTRAM_64TSB] > 0.95
+        assert norm[Scheme.STTRAM_64TSB.value] > 0.95
 
 
 class TestWriteBufferComparator:
     def test_buff20_reduces_queue_wait(self):
-        base_cfg = make_config(Scheme.STTRAM_64TSB, **FAST)
-        sim = CMPSimulator(base_cfg, homogeneous("tpcc", base_cfg))
-        plain = sim.run(CYCLES, warmup=WARMUP)
-
-        buf_cfg = with_write_buffer(base_cfg)
-        sim = CMPSimulator(buf_cfg, homogeneous("tpcc", buf_cfg))
-        buffered = sim.run(CYCLES, warmup=WARMUP)
-
+        plain = run_point()
+        buffered = run_point(write_buffer=WriteBufferConfig())
         assert buffered.avg_bank_queue_wait < plain.avg_bank_queue_wait
         assert buffered.bank_drains > 0
 
     def test_preemption_fires_under_load(self):
-        cfg = with_write_buffer(make_config(Scheme.STTRAM_64TSB, **FAST))
-        sim = CMPSimulator(cfg, homogeneous("tpcc", cfg))
-        result = sim.run(CYCLES, warmup=WARMUP)
+        result = run_point(write_buffer=WriteBufferConfig())
         assert result.write_buffer_preemptions > 0
 
 
 class TestCoherenceTraffic:
     def test_shared_workload_generates_coherence(self):
-        result = run_scheme(Scheme.STTRAM_64TSB, app_factory("tpcc"),
-                            cycles=CYCLES, warmup=WARMUP, **FAST)
+        result = run_point()
         # Shared-pool stores invalidate sharers.
         assert result.extras is not None
         cfg = make_config(Scheme.STTRAM_64TSB, **FAST)

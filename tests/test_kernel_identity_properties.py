@@ -20,9 +20,8 @@ import pytest
 
 from repro.sim import parallel
 from repro.sim import simulator as simulator_module
-from repro.sim.config import Scheme, make_config
-from repro.sim.experiment import app_factory
-from repro.sim.parallel import SweepPoint
+from repro.sim.config import Scheme
+from repro.sim.parallel import SweepPoint, build_simulator
 from repro.sim.simulator import CMPSimulator
 from tests.test_scheduler_equivalence import _assert_fields_equal
 
@@ -32,14 +31,10 @@ SCHEMES = (Scheme.SRAM_64TSB, Scheme.STTRAM_4TSB,
 
 
 def _dense_reference(spec):
-    """One dense-loop run built exactly like ``simulate_point`` builds
-    its simulator; returns the live simulator plus its summary dict."""
-    from repro.sim import reset_state
-
-    reset_state()
-    config = make_config(spec.scheme, **spec.overrides_dict())
-    workload = app_factory(spec.app, seed=spec.seed)(config)
-    sim = CMPSimulator(config, workload, scheduler="dense")
+    """One dense-loop run built by ``build_simulator``, as
+    ``simulate_point`` builds its simulator; returns the live simulator
+    plus its summary dict."""
+    sim = build_simulator(spec, scheduler="dense")
     summary = sim.run(spec.cycles, warmup=spec.warmup).to_dict()
     return sim, summary
 

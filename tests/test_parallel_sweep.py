@@ -10,6 +10,7 @@ The engine's contract (see ``repro/sim/parallel.py``):
   and recovers from corrupted entries by re-simulating.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -18,10 +19,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sim import parallel
-from repro.sim.config import Scheme, TSBPlacement, make_config
-from repro.sim.experiment import app_factory, run_scheme
+from repro.sim.config import (
+    Scheme, TSBPlacement, WriteBufferConfig, make_config,
+)
 from repro.sim.parallel import (
-    SweepCache, SweepPoint, SweepRunStats, resolve_workers, run_points,
+    SweepCache, SweepPoint, SweepRunStats, build_simulator,
+    resolve_workers, run_points,
 )
 from repro.sim.sweep import SweepGrid, run_sweep
 
@@ -56,20 +59,6 @@ class TestPickling:
         for placement in TSBPlacement:
             assert pickle.loads(pickle.dumps(placement)) is placement
 
-    def test_app_factory_is_picklable_and_named(self):
-        factory = app_factory("tpcc", seed=3)
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone == factory
-        assert clone.__name__ == "homogeneous_tpcc"
-
-    def test_app_factory_clone_builds_equivalent_workload(self):
-        cfg = make_config(Scheme.SRAM_64TSB, **FAST)
-        factory = app_factory("x264", seed=5)
-        clone = pickle.loads(pickle.dumps(factory))
-        a, b = factory(cfg), clone(cfg)
-        assert a.app_of_core == b.app_of_core
-        assert a.name == b.name
-
     def test_sweep_point_roundtrip(self):
         point = SweepPoint.build(
             "tpcc", Scheme.STTRAM_4TSB, 300, 100, 2,
@@ -78,9 +67,10 @@ class TestPickling:
         assert pickle.loads(pickle.dumps(point)) == point
 
     def test_simulation_result_roundtrip(self):
-        result = run_scheme(Scheme.STTRAM_64TSB, app_factory("x264"),
-                            cycles=150, warmup=50, mesh_width=2,
-                            capacity_scale=1 / 256)
+        point = SweepPoint.build(
+            "x264", Scheme.STTRAM_64TSB, 150, 50, 1,
+            {"mesh_width": 2, "capacity_scale": 1 / 256})
+        result = build_simulator(point).run(150, warmup=50)
         clone = pickle.loads(pickle.dumps(result))
         assert clone.to_dict() == result.to_dict()
 
@@ -106,6 +96,8 @@ class TestSweepPoint:
         dict(warmup=101),
         dict(seed=2),
         dict(overrides={"mesh_width": 8}),
+        dict(app="case1"),
+        dict(overrides={"write_buffer": WriteBufferConfig()}),
     ])
     def test_any_input_change_changes_key(self, change):
         base = dict(app="tpcc", scheme=Scheme.SRAM_64TSB, cycles=300,
@@ -130,11 +122,26 @@ class TestSweepPoint:
         )
         json.dumps(canon)  # JSON-stable
 
+        # A frozen dataclass canonicalises to its type name and its
+        # sorted fields, so BUFF-N is an ordinary override.
+        point = SweepPoint.build(
+            "tpcc", Scheme.SRAM_64TSB, 300, 100, 1,
+            {"write_buffer": WriteBufferConfig(entries=20)},
+        )
+        canon = point.canonical()["overrides"]["write_buffer"]
+        assert list(canon) == ["WriteBufferConfig"]
+        fields = canon["WriteBufferConfig"]
+        assert list(fields) == sorted(fields)
+        assert fields["entries"] == 20
+        assert json.loads(json.dumps(canon)) == canon  # JSON-stable
+
     def test_uncacheable_override_rejected(self):
-        point = SweepPoint.build("tpcc", Scheme.SRAM_64TSB, 300, 100, 1,
-                                 {"bad": object()})
-        with pytest.raises(ConfigError):
-            point.canonical()
+        mutable = dataclasses.make_dataclass("Mutable", ["entries"])(20)
+        for bad in (object(), mutable):
+            point = SweepPoint.build("tpcc", Scheme.SRAM_64TSB, 300, 100,
+                                     1, {"bad": bad})
+            with pytest.raises(ConfigError):
+                point.canonical()
 
     def test_grid_point_specs_cover_grid_in_order(self):
         grid = tiny_grid()
@@ -244,6 +251,35 @@ class TestCacheCorrectness:
         reader = SweepCache(str(tmp_path), version="v1-new")
         assert reader.get(point.key("v1-old")) is None
         assert not os.path.exists(writer.path_for(point.key("v1-old")))
+
+    def test_registry_and_dataclass_points_replay_from_cache(
+            self, tmp_path):
+        # BUFF-20 (a dataclass override), a Case 2 mix and one Case 3
+        # mix go through the pool and the cache like any app point.
+        specs = [
+            SweepPoint.build("tpcc", Scheme.STTRAM_64TSB, 200, 80, 1, FAST),
+            SweepPoint.build("tpcc", Scheme.STTRAM_64TSB, 200, 80, 1,
+                             dict(FAST, write_buffer=WriteBufferConfig())),
+            SweepPoint.build("case2", Scheme.STTRAM_4TSB_WB, 200, 80, 1,
+                             FAST),
+            SweepPoint.build("case3-2x4-1", Scheme.STTRAM_4TSB_WB, 200, 80,
+                             7, FAST),
+        ]
+        cold_stats, warm_stats = SweepRunStats(), SweepRunStats()
+        cold = run_points(specs, workers=2, cache=True,
+                          cache_dir=str(tmp_path), stats=cold_stats)
+        warm = run_points(specs, workers=2, cache=True,
+                          cache_dir=str(tmp_path), stats=warm_stats)
+        assert cold_stats.simulated == 4
+        assert warm_stats.cache_hits == warm_stats.points == 4
+        assert warm_stats.simulated == 0
+        assert json.dumps(warm, sort_keys=True) == json.dumps(
+            cold, sort_keys=True)
+        plain, buffered, case2, case3 = (cold[s.key()] for s in specs)
+        assert plain != buffered
+        assert set(case2["ipc_by_app"]) == {"lbm", "hmmer", "bzip2",
+                                            "libquantum"}
+        assert len(case3["ipc_by_app"]) == 4
 
     def test_duplicate_points_simulated_once(self):
         spec = SweepPoint.build("x264", Scheme.SRAM_64TSB, 200, 80, 1,

@@ -19,16 +19,18 @@ class TestTopLevelExports:
         ]
 
     def test_quickstart_snippet_shape(self):
-        # The exact snippet from the package docstring / README.
-        comparison = repro.compare_schemes(
-            repro.app_factory("x264"), "x264",
+        # The snippet from the package docstring / README, on a shorter
+        # window and two of the six schemes.
+        sweep = repro.run_sweep(repro.SweepGrid(
+            apps=["x264"],
             schemes=(repro.Scheme.SRAM_64TSB,
                      repro.Scheme.STTRAM_4TSB_WB),
-            cycles=300, warmup=100, mesh_width=4, capacity_scale=1 / 64,
-        )
-        series = comparison.normalized_throughput()
-        assert set(series) == {repro.Scheme.SRAM_64TSB,
-                               repro.Scheme.STTRAM_4TSB_WB}
+            cycles=300, warmup=100,
+            overrides=dict(mesh_width=4, capacity_scale=1 / 64),
+        ))
+        series = sweep.normalized("instruction_throughput", "SRAM-64TSB")
+        assert set(series["x264"]) == {"SRAM-64TSB", "MRAM-4TSB-WB"}
+        assert series["x264"]["SRAM-64TSB"] == 1.0
 
     def test_subpackage_exports(self):
         from repro import analysis, cache, core, cpu, noc, workloads
@@ -41,5 +43,7 @@ class TestTopLevelExports:
         cfg = repro.make_config(repro.Scheme.STTRAM_4TSB_WB,
                                 mesh_width=4)
         assert cfg.estimator is repro.Estimator.WINDOW
-        assert repro.with_write_buffer(cfg).write_buffer is not None
-        assert repro.with_extra_vc(cfg).n_vcs == cfg.n_vcs + 1
+        buffered = repro.make_config(
+            repro.Scheme.STTRAM_64TSB,
+            write_buffer=repro.WriteBufferConfig(entries=20))
+        assert buffered.write_buffer.entries == 20

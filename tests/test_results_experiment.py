@@ -1,23 +1,18 @@
-"""Tests for SimulationResult derivations and the experiment harness."""
+"""Tests for SimulationResult derivations."""
 
 import pytest
 
-from repro.sim.config import ALL_SCHEMES, Scheme
-from repro.sim.experiment import (
-    SchemeComparison, app_factory, compare_schemes, run_scheme,
-    run_workload,
-)
-from repro.sim.simulator import CMPSimulator
-from repro.workloads.mixes import homogeneous
-from tests.conftest import small_config
+from repro.sim.config import Scheme
+from repro.sim.parallel import SweepPoint, build_simulator
 
 FAST = dict(mesh_width=4, capacity_scale=1 / 64)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scheme(Scheme.STTRAM_64TSB, app_factory("sclust"),
-                      cycles=900, warmup=400, **FAST)
+    point = SweepPoint.build("sclust", Scheme.STTRAM_64TSB, 900, 400, 1,
+                             FAST)
+    return build_simulator(point).run(point.cycles, warmup=point.warmup)
 
 
 class TestSimulationResult:
@@ -49,48 +44,3 @@ class TestSimulationResult:
     def test_uncore_latency_positive(self, result):
         assert result.uncore_latency() > 0
 
-
-class TestHarness:
-    def test_run_workload_accepts_config(self):
-        cfg = small_config(Scheme.STTRAM_64TSB)
-        res = run_workload(cfg, lambda c: homogeneous("x264", c),
-                           cycles=400, warmup=100)
-        assert res.cycles == 400
-
-    def test_compare_schemes_matched_seeds(self):
-        cmp_ = compare_schemes(
-            app_factory("x264", seed=5), "x264",
-            schemes=(Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB),
-            cycles=500, warmup=200, **FAST)
-        assert set(cmp_.results) == {Scheme.SRAM_64TSB,
-                                     Scheme.STTRAM_64TSB}
-        assert cmp_.baseline is Scheme.SRAM_64TSB
-
-    def test_normalized_metrics(self):
-        cmp_ = compare_schemes(
-            app_factory("x264"), "x264",
-            schemes=(Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB),
-            cycles=500, warmup=200, **FAST)
-        for series in (cmp_.normalized_throughput(),
-                       cmp_.normalized_slowest_ipc(),
-                       cmp_.normalized_energy()):
-            assert series[Scheme.SRAM_64TSB] == pytest.approx(1.0)
-            assert all(v >= 0 for v in series.values())
-
-    def test_baseline_falls_back_when_absent(self):
-        cmp_ = compare_schemes(
-            app_factory("x264"), "x264",
-            schemes=(Scheme.STTRAM_4TSB, Scheme.STTRAM_4TSB_WB),
-            cycles=400, warmup=100, **FAST)
-        assert cmp_.baseline is Scheme.STTRAM_4TSB
-
-    def test_app_factory_name(self):
-        assert app_factory("tpcc").__name__ == "homogeneous_tpcc"
-
-    def test_custom_metric_normalisation(self):
-        cmp_ = compare_schemes(
-            app_factory("x264"), "x264",
-            schemes=(Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB),
-            cycles=400, warmup=100, **FAST)
-        series = cmp_.normalized(lambda r: r.cycles)
-        assert series[Scheme.STTRAM_64TSB] == pytest.approx(1.0)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.config import Scheme
+from repro.sim.config import Scheme, TSBPlacement, WriteBufferConfig
 from repro.sim.sweep import SweepGrid, SweepResults, run_sweep
 
 FAST = {"mesh_width": 4, "capacity_scale": 1 / 64}
@@ -119,3 +119,22 @@ class TestPersistence:
         sweep.save(str(path))
         loaded = SweepResults.load(str(path))
         assert loaded.grid_spec["overrides"]["mesh_width"] == 4
+
+    def test_save_load_roundtrip_with_enum_and_dataclass_overrides(
+            self, tmp_path):
+        # Figs 11/12 override an enum and BUFF-20 a frozen dataclass;
+        # the saved grid spec holds their canonical forms.
+        stagger = dict(FAST, tsb_placement=TSBPlacement.STAGGER)
+        for overrides in (stagger,
+                          dict(stagger, write_buffer=WriteBufferConfig())):
+            grid = SweepGrid(apps=["x264"], schemes=(Scheme.STTRAM_4TSB_WB,),
+                             cycles=200, warmup=80, overrides=overrides)
+            sweep = run_sweep(grid)
+            path = tmp_path / "sweep.json"
+            sweep.save(str(path))
+            loaded = SweepResults.load(str(path))
+            assert loaded.data == sweep.data
+            assert loaded.grid_spec == sweep.grid_spec
+            saved = loaded.grid_spec["overrides"]
+            assert saved["tsb_placement"] == "TSBPlacement.STAGGER"
+        assert saved["write_buffer"]["WriteBufferConfig"]["entries"] == 20

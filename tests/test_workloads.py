@@ -9,7 +9,8 @@ from repro.workloads.benchmarks import (
     characterization_table, get_benchmark, suite_benchmarks,
 )
 from repro.workloads.mixes import (
-    CASE1_APPS, CASE2_APPS, case1, case2, case3_mixes, homogeneous, mix,
+    CASE1_APPS, CASE2_APPS, case1, case2, case3_mixes, homogeneous,
+    make_workload, mix,
 )
 from repro.workloads.synthetic import MEM_OP_RATE, SyntheticStream
 
@@ -183,3 +184,36 @@ class TestMixes:
     def test_empty_mix_rejected(self):
         with pytest.raises(WorkloadError):
             mix([], self._cfg())
+
+
+class TestRegistry:
+    """``make_workload`` builds exactly what the direct builders do."""
+
+    def _cfg(self):
+        return make_config(Scheme.STTRAM_64TSB, mesh_width=4,
+                           capacity_scale=1 / 64)
+
+    @staticmethod
+    def _accesses(workload, n=50):
+        return [[stream.next_access() for _ in range(n)]
+                for stream in workload.streams]
+
+    @pytest.mark.parametrize("name, seed, build", [
+        ("tpcc", 3, lambda cfg: homogeneous("tpcc", cfg, seed=3)),
+        ("case1", 1, lambda cfg: case1(cfg, seed=1)),
+        ("case2", 2, lambda cfg: case2(cfg, seed=2)),
+        ("case3-2x4-1", 7,
+         lambda cfg: case3_mixes(cfg, n_mixes=2, apps_per_mix=4)[1]),
+    ], ids=["tpcc", "case1", "case2", "case3-2x4-1"])
+    def test_matches_direct_builders(self, name, seed, build):
+        got = make_workload(name, self._cfg(), seed)
+        want = build(self._cfg())
+        assert got.name == want.name
+        assert got.app_of_core == want.app_of_core
+        assert self._accesses(got) == self._accesses(want)
+
+    @pytest.mark.parametrize("name", ["case3-x", "case3-2x4-2",
+                                      "nosuchapp"])
+    def test_bad_names_rejected(self, name):
+        with pytest.raises(WorkloadError):
+            make_workload(name, self._cfg())
