@@ -13,7 +13,6 @@ allocates only the sets it fills.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
 
@@ -22,7 +21,7 @@ from repro.errors import ConfigError
 #: The slot of every set no fill has reached.  Read-only and empty, so
 #: lookups, presence and dirty tests, dirty marking and invalidation
 #: see an empty set without a branch of their own; only
-#: :meth:`CacheArray.fill` replaces it, with the set's ``OrderedDict``.
+#: :meth:`CacheArray.fill` replaces it, with the set's ``dict``.
 EMPTY_SET: Mapping[int, bool] = MappingProxyType({})
 
 
@@ -55,8 +54,8 @@ class CacheArray:
         self.n_sets = max(1, self.n_blocks // associativity)
         self.name = name
         self.index_stride = max(1, index_stride)
-        #: each set maps block -> dirty flag, in LRU order (MRU last);
-        #: :data:`EMPTY_SET` until the set's first fill
+        #: each set maps block -> dirty flag, its insertion order the
+        #: LRU order (MRU last); :data:`EMPTY_SET` until its first fill
         self._sets: List[Mapping[int, bool]] = [EMPTY_SET] * self.n_sets
         self.hits = 0
         self.misses = 0
@@ -74,7 +73,7 @@ class CacheArray:
         if block in entry:
             self.hits += 1
             if touch:
-                entry.move_to_end(block)
+                entry[block] = entry.pop(block)
             return True
         self.misses += 1
         return False
@@ -89,8 +88,8 @@ class CacheArray:
     def mark_dirty(self, block: int) -> None:
         entry = self._set_of(block)
         if block in entry:
+            del entry[block]
             entry[block] = True
-            entry.move_to_end(block)
 
     def mark_clean(self, block: int) -> None:
         entry = self._set_of(block)
@@ -103,19 +102,19 @@ class CacheArray:
         eviction was necessary, else None.
 
         The one method that creates a set: a slot still holding
-        :data:`EMPTY_SET` gets its own ``OrderedDict`` here."""
+        :data:`EMPTY_SET` gets its own ``dict`` here."""
         sets = self._sets
         index = (block // self.index_stride) % self.n_sets
         entry = sets[index]
         if entry is EMPTY_SET:
-            entry = sets[index] = OrderedDict()
+            entry = sets[index] = {}
         elif block in entry:
-            entry[block] = entry[block] or dirty
-            entry.move_to_end(block)
+            entry[block] = entry.pop(block) or dirty
             return None
         victim = None
         if len(entry) >= self.associativity:
-            victim_block, victim_dirty = entry.popitem(last=False)
+            victim_block = next(iter(entry))
+            victim_dirty = entry.pop(victim_block)
             self.evictions += 1
             if victim_dirty:
                 self.dirty_evictions += 1

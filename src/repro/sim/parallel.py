@@ -595,6 +595,7 @@ def run_points(
                 return executor.submit(fn, *args, time.monotonic())
             return executor.submit(fn, *args)
 
+        finished = False
         try:
             futures = {
                 submit(executor, fn, args): chunk
@@ -628,6 +629,7 @@ def run_points(
                         cache_put(key, row["result"])
                         finish(key, row["result"], row["wall_ms"],
                                worker=worker_pid)
+            finished = True
         except concurrent.futures.TimeoutError:
             # Deadline tripped: everything unfinished retries serially.
             stats.worker_crashes += 1
@@ -636,7 +638,11 @@ def run_points(
                     future.cancel()
                     retry.extend(chunk)
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            # Once every chunk is back, join the pool so no worker or
+            # pool thread outlives the call.  A tripped deadline or a
+            # raised error leaves at once: a hung worker cannot be
+            # joined, and an error (a typed one above all) fails fast.
+            executor.shutdown(wait=finished, cancel_futures=True)
         for key in retry:
             if results[key] is None:
                 stats.retried += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.cpu.trace import AccessStream
 from repro.errors import WorkloadError
@@ -124,19 +124,20 @@ def case2(config: SystemConfig, seed: int = 1) -> Workload:
     return mix(CASE2_APPS, config, seed, name="case2")
 
 
-def case3_mixes(config: SystemConfig, n_mixes: int = 32,
-                apps_per_mix: int = 8, seed: int = 7) -> List[Workload]:
-    """The paper's 32 random mixes spread over the design space.
+def _case3_draws(n_mixes: int, apps_per_mix: int,
+                 seed: int) -> Iterator[Tuple[List[str], int, str]]:
+    """The :func:`mix` arguments ``(apps, seed, name)`` of every Case 3
+    mix, in draw order.
 
-    8 mixes are read-intensive, 8 write-intensive and the rest draw from
-    the full benchmark set (read + write + compute intensive).
+    The one place the Case 3 draw happens: one ``random.Random(seed)``
+    samples every mix's apps in turn, so mix ``i``'s apps are the same
+    whether or not the other mixes' streams are built.
     """
     rng = random.Random(seed)
     pool = all_benchmarks()
     read_heavy = [b.name for b in pool if b.read_intensive]
     write_heavy = [b.name for b in pool if b.write_intensive]
     everything = [b.name for b in pool]
-    workloads = []
     for i in range(n_mixes):
         if i < n_mixes // 4:
             source, tag = read_heavy, "read"
@@ -144,12 +145,19 @@ def case3_mixes(config: SystemConfig, n_mixes: int = 32,
             source, tag = write_heavy, "write"
         else:
             source, tag = everything, "mixed"
-        k = min(apps_per_mix, len(source))
-        chosen = rng.sample(source, k)
-        workloads.append(
-            mix(chosen, config, seed=seed + i, name=f"case3-{tag}-{i}")
-        )
-    return workloads
+        apps = rng.sample(source, min(apps_per_mix, len(source)))
+        yield apps, seed + i, f"case3-{tag}-{i}"
+
+
+def case3_mixes(config: SystemConfig, n_mixes: int = 32,
+                apps_per_mix: int = 8, seed: int = 7) -> List[Workload]:
+    """The paper's 32 random mixes spread over the design space.
+
+    8 mixes are read-intensive, 8 write-intensive and the rest draw from
+    the full benchmark set (read + write + compute intensive).
+    """
+    return [mix(apps, config, mix_seed, name) for apps, mix_seed, name
+            in _case3_draws(n_mixes, apps_per_mix, seed)]
 
 
 def make_workload(name: str, config: SystemConfig, seed: int = 1) -> Workload:
@@ -167,7 +175,10 @@ def make_workload(name: str, config: SystemConfig, seed: int = 1) -> Workload:
     if match:
         n_mixes, apps_per_mix, index = map(int, match.groups())
         if index < n_mixes:
-            return case3_mixes(config, n_mixes, apps_per_mix, seed)[index]
+            # Draw every mix's apps, build only mix ``index``'s streams.
+            apps, mix_seed, mix_name = list(
+                _case3_draws(n_mixes, apps_per_mix, seed))[index]
+            return mix(apps, config, mix_seed, mix_name)
     if name.startswith("case3-"):
         raise WorkloadError(
             f"bad Case 3 workload {name!r}: expected "

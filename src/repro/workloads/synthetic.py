@@ -95,7 +95,8 @@ class SyntheticStream(AccessStream):
         self._pool_capacity = max(64, int(1.5 * sram_share_blocks))
         self._pool: deque = deque(maxlen=self._pool_capacity)
         self._skip_newest = max(8, l1_blocks)
-        #: per-bank recent blocks, for same-bank L2-hit bursts
+        #: per-bank recent blocks, oldest first and at most
+        #: ``_bank_pool_depth`` of them, for same-bank L2-hit bursts
         self._bank_pools = {}
         self._bank_pool_depth = max(16, self._pool_capacity // 8)
 
@@ -154,11 +155,16 @@ class SyntheticStream(AccessStream):
             wrap = PRIVATE_SPACE_BLOCKS // (2 * n_banks)
             blocks = [base + (index % wrap) * n_banks + bank
                       for index in indices]
+            depth = self._bank_pool_depth
             pool = self._bank_pools.get(bank)
             if pool is None:
-                pool = deque(maxlen=self._bank_pool_depth)
-                self._bank_pools[bank] = pool
-            pool.extend(blocks)
+                # A copy: the caller owns the returned list.
+                self._bank_pools[bank] = blocks[-depth:]
+            else:
+                pool.extend(blocks)
+                over = len(pool) - depth
+                if over > 0:
+                    del pool[:over]
         self._pool.extend(blocks)
         return blocks
 

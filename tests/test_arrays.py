@@ -191,13 +191,15 @@ def apply_op(model, op, block):
     ops=st.lists(
         st.tuples(st.sampled_from(OPS), st.integers(0, 31)),
         min_size=20, max_size=300),
-    ways=st.integers(1, 4),
+    n_sets=st.sampled_from([1, 8]),
+    ways=st.integers(1, 16),
     stride=st.sampled_from([1, 4, 16]),
 )
-def test_property_matches_reference_lru(ops, ways, stride):
+def test_property_matches_reference_lru(ops, n_sets, ways, stride):
     # 32 blocks over eight sets: sets overflow often, and ops reach sets
     # no fill has created yet (with stride 16, six sets never fill).
-    n_sets = 8
+    # Over one set of up to 16 ways, the L2's associativity, they churn
+    # one dict through enough pops and re-inserts to compact it.
     array = CacheArray(n_sets * ways * 64, ways, 64, index_stride=stride)
     ref = ReferenceLRU(n_sets, ways, stride)
     for op, block in ops:

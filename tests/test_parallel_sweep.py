@@ -12,8 +12,10 @@ The engine's contract (see ``repro/sim/parallel.py``):
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
+import threading
 
 import pytest
 
@@ -324,6 +326,17 @@ class TestFaultTolerance:
                              timeout=1e-4, stats=stats)
         assert stats.retried >= 1
         assert all(r["cycles"] == 200 for r in results.values())
+
+    def test_pool_is_joined_before_return(self):
+        # Nothing the pool started may outlive the call: a leftover
+        # pool thread makes the next fork-started sweep fork a
+        # multi-threaded process.
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        results = run_points(self.specs(3), workers=2, cache=False)
+        assert len(results) == 3
+        assert set(threading.enumerate()) <= threads
+        assert set(multiprocessing.active_children()) <= children
 
     def test_workers_1_never_builds_a_pool(self, monkeypatch):
         def no_pool(*a, **k):

@@ -61,10 +61,10 @@ def reference_prewarm(sim: CMPSimulator) -> None:
 
 
 def array_state(array):
-    # The sets themselves: OrderedDicts compare equal only with their
-    # items in the same (LRU) order.
+    # The sets' items as lists: plain dicts compare equal whatever their
+    # order, and the order is the LRU order.
     return (
-        array._sets,
+        [list(s.items()) for s in array._sets],
         [s is EMPTY_SET for s in array._sets],
         (array.evictions, array.dirty_evictions, array.hits, array.misses),
     )
@@ -81,9 +81,7 @@ def sim_state(sim: CMPSimulator):
             for bank in sim.banks
         ],
         "streams": [
-            (s._stream_counter, s._pool, s._bank_pools,
-             [pool.maxlen for pool in s._bank_pools.values()],
-             s._rng.getstate())
+            (s._stream_counter, s._pool, s._bank_pools, s._rng.getstate())
             for s in (core.stream for core in sim.cores)
             if isinstance(s, SyntheticStream)
         ],

@@ -8,9 +8,10 @@ from repro.workloads.benchmarks import (
     BENCHMARKS, PARSEC, SERVER, SPEC, all_benchmarks,
     characterization_table, get_benchmark, suite_benchmarks,
 )
+from repro.workloads import mixes
 from repro.workloads.mixes import (
     CASE1_APPS, CASE2_APPS, case1, case2, case3_mixes, homogeneous,
-    make_workload, mix,
+    make_stream, make_workload, mix,
 )
 from repro.workloads.synthetic import MEM_OP_RATE, SyntheticStream
 
@@ -204,13 +205,27 @@ class TestRegistry:
         ("case2", 2, lambda cfg: case2(cfg, seed=2)),
         ("case3-2x4-1", 7,
          lambda cfg: case3_mixes(cfg, n_mixes=2, apps_per_mix=4)[1]),
-    ], ids=["tpcc", "case1", "case2", "case3-2x4-1"])
+        ("case3-32x8-31", 7,
+         lambda cfg: case3_mixes(cfg, n_mixes=32, apps_per_mix=8)[31]),
+    ], ids=["tpcc", "case1", "case2", "case3-2x4-1", "case3-32x8-31"])
     def test_matches_direct_builders(self, name, seed, build):
         got = make_workload(name, self._cfg(), seed)
         want = build(self._cfg())
         assert got.name == want.name
         assert got.app_of_core == want.app_of_core
         assert self._accesses(got) == self._accesses(want)
+
+    def test_case3_name_builds_only_its_mix(self, monkeypatch):
+        config = make_config(Scheme.STTRAM_64TSB)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return make_stream(*args)
+
+        monkeypatch.setattr(mixes, "make_stream", counting)
+        make_workload("case3-32x8-31", config, 7)
+        assert len(calls) == config.n_cores
 
     @pytest.mark.parametrize("name", ["case3-x", "case3-2x4-2",
                                       "nosuchapp"])
