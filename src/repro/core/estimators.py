@@ -78,6 +78,11 @@ class SimplisticEstimator(CongestionEstimator):
     name = "ss"
 
 
+#: ``0.5 * v`` for every 8-bit local value ``v``: each entry is the same
+#: IEEE product the int * float multiply gives.
+_HALF = [0.5 * i for i in range(256)]
+
+
 class RegionalCongestionEstimator(CongestionEstimator):
     """RCA: neighbour-aggregated buffer utilisation.
 
@@ -88,14 +93,19 @@ class RegionalCongestionEstimator(CongestionEstimator):
     congestion toward a child as half the sum of the aggregated values at
     the intermediate node and at the child itself.
 
-    The tick costs two counter reads per router (``Router.n_flits`` and
-    ``Router.link_busy_until``) plus the neighbour fold.  Its float
-    arithmetic is pinned operation for operation by
+    The tick reads two counters per router (``Router.n_flits`` and
+    ``Router.link_busy_until``) and folds the neighbours' previous
+    aggregates in one unrolled loop per degree (3, 4 or 5 in a two-layer
+    mesh).  Its float arithmetic is pinned operation for operation by
     ``tests/test_rca_tick.py`` against the original dict-based tick:
     ``total`` starts at ``0.0`` and adds the previous aggregates in
     ``neighbors_of`` order (never through ``sum()``, whose float
     algorithm changed in Python 3.12), the mean divides by the degree,
     and each aggregate is ``min(max_value, 0.5 * local + 0.5 * mean)``.
+    Every float operation takes float operands on both sides: CPython
+    specialises those, and not mixed int/float ones.  DESIGN.md, "RCA
+    tick: two router counters and a type-stable fold", gives why each
+    substitution is exact.
     """
 
     name = "rca"
@@ -112,14 +122,16 @@ class RegionalCongestionEstimator(CongestionEstimator):
 
     def bind(self, network) -> None:
         self.network = network
-        self._routers = network.routers
-        #: (node, neighbours in ``neighbors_of`` order, degree) rows
-        self._neigh = tuple(
-            (node, tuple(neigh), len(neigh))
-            for node, neigh in enumerate(network.neighbors_of)
-        )
+        #: degree -> (node, router, neighbours in ``neighbors_of``
+        #: order...) rows; ``Mesh3D`` has widths of 2 and up, so every
+        #: node has 2-4 in-layer neighbours and one vertical one
+        rows: Dict[int, list] = {3: [], 4: [], 5: []}
+        for node, neigh in enumerate(network.neighbors_of):
+            rows[len(neigh)].append((node, network.routers[node], *neigh))
+        self._rows3 = tuple(rows[3])
+        self._rows4 = tuple(rows[4])
+        self._rows5 = tuple(rows[5])
         n = len(network.routers)
-        self._local: List[int] = [0] * n
         #: node-indexed aggregates of the last tick, and the buffer the
         #: next tick writes before the two swap
         self._agg: List[float] = [0.0] * n
@@ -133,29 +145,49 @@ class RegionalCongestionEstimator(CongestionEstimator):
     def tick(self, now: int) -> None:
         if self.network is None or now % self.update_period:
             return
-        max_value = self.max_value
-        local = self._local
-        for node, router in enumerate(self._routers):
+        prev = self._agg
+        if not self._ticked:
+            # The first tick has no previous aggregates and seeds them
+            # from the local values.
+            for node, router in enumerate(self.network.routers):
+                value = router.n_flits
+                busy = router.link_busy_until - now
+                if busy > 0:
+                    value += busy
+                prev[node] = float(value) if value < 255 else 255.0
+            self._ticked = True
+        # One aggregation step per update: equal weighting of the local
+        # value and the mean of the neighbours' previous aggregates gives
+        # the coarse regional view of the original RCA proposal.
+        half = _HALF
+        out = self._next
+        for node, router, a, b, c in self._rows3:
             value = router.n_flits
             busy = router.link_busy_until - now
             if busy > 0:
                 value += busy
-            local[node] = value if value < max_value else max_value
-        # One aggregation step per update: equal weighting of the local
-        # value and the mean of the neighbours' previous aggregates gives
-        # the coarse regional view of the original RCA proposal.  The
-        # first tick has no previous aggregates and seeds from ``local``.
-        prev = self._agg if self._ticked else local
-        out = self._next
-        for node, neigh, degree in self._neigh:
-            total = 0.0
-            for m in neigh:
-                total += prev[m]
-            value = 0.5 * local[node] + 0.5 * (total / degree)
-            out[node] = value if value < max_value else max_value
-        self._next = self._agg
+            value = (half[value] if value < 255 else 127.5) + 0.5 * (
+                (0.0 + prev[a] + prev[b] + prev[c]) / 3.0)
+            out[node] = value if value < 255.0 else 255.0
+        for node, router, a, b, c, d in self._rows4:
+            value = router.n_flits
+            busy = router.link_busy_until - now
+            if busy > 0:
+                value += busy
+            value = (half[value] if value < 255 else 127.5) + 0.5 * (
+                (0.0 + prev[a] + prev[b] + prev[c] + prev[d]) / 4.0)
+            out[node] = value if value < 255.0 else 255.0
+        for node, router, a, b, c, d, e in self._rows5:
+            value = router.n_flits
+            busy = router.link_busy_until - now
+            if busy > 0:
+                value += busy
+            value = (half[value] if value < 255 else 127.5) + 0.5 * (
+                (0.0 + prev[a] + prev[b] + prev[c] + prev[d] + prev[e])
+                / 5.0)
+            out[node] = value if value < 255.0 else 255.0
+        self._next = prev
         self._agg = out
-        self._ticked = True
 
     def on_topology_change(self, banks, now: int) -> None:
         drop = set(banks)
@@ -180,16 +212,17 @@ class RegionalCongestionEstimator(CongestionEstimator):
 
     def congestion_estimate(self, parent_node: int, bank: int,
                             now: int) -> int:
-        if self.network is None:
-            return 0
-        nodes = self._path_nodes(parent_node, bank)
-        if not nodes:
-            return 0
+        nodes = self._path_cache.get((parent_node, bank))
+        if nodes is None:
+            if self.network is None:
+                return 0
+            nodes = self._path_nodes(parent_node, bank)
         agg = self._agg
         total = 0.0
         for n in nodes:
             total += agg[n]
-        return int(min(self.max_value, total / 2.0))
+        total /= 2.0
+        return int(total) if total < 255.0 else 255
 
 
 class WindowEstimator(CongestionEstimator):

@@ -140,7 +140,8 @@ class TestHardenedCache:
                            cache_dir=cache_dir)
         cache = SweepCache(cache_dir)
         path = cache.path_for(points[0].key())
-        blob = open(path).read()
+        with open(path) as fh:
+            blob = fh.read()
         with open(path, "w") as fh:
             fh.write(blob[: len(blob) // 2])  # truncate mid-payload
 
@@ -160,7 +161,8 @@ class TestHardenedCache:
         run_points(points, workers=1, cache=True, cache_dir=cache_dir)
         cache = SweepCache(cache_dir)
         path = cache.path_for(points[0].key())
-        payload = json.load(open(path))
+        with open(path) as fh:
+            payload = json.load(fh)
         payload["result"]["cycles"] = 999999  # silent bit-flip
         with open(path, "w") as fh:
             json.dump(payload, fh)
@@ -176,7 +178,8 @@ class TestHardenedCache:
                            cache_dir=cache_dir)
         cache = SweepCache(cache_dir)
         path = cache.path_for(points[0].key())
-        payload = json.load(open(path))
+        with open(path) as fh:
+            payload = json.load(fh)
         payload["result"]["cycles"] = 999999
         with open(path, "w") as fh:
             json.dump(payload, fh)
