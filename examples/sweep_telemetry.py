@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Fleet telemetry end to end: spans, merged metrics, trace.
+"""Fleet telemetry end to end: spans, progress, trace.
 
-Runs one apps x schemes grid through the parallel sweep engine with
-the full telemetry plane enabled -- live progress on stderr, span
-recording in every worker -- then shows where the wall time went:
+Runs one apps x schemes grid through the parallel sweep engine with a
+span collector and live progress on stderr, then shows where the wall
+time went:
 
 * a span rollup (count + total seconds per span name, parent and
   workers merged);
-* the per-worker completion counts and merged fleet metrics;
+* the points each worker simulated, counted from its spans;
 * a Chrome/Perfetto trace file with one track per worker process.
 
-Telemetry is a pure reader: the sweep re-runs with telemetry off and
-the fingerprints are asserted identical.
+Telemetry is a pure reader: the sweep re-runs with no collector and no
+progress, and the fingerprints are asserted identical.
 
 Usage:
     python examples/sweep_telemetry.py [workers] [--progress rich]
@@ -19,6 +19,7 @@ Usage:
 """
 
 import argparse
+from collections import Counter
 
 from repro.obs.progress import ProgressRenderer
 from repro.obs.telemetry import SweepTelemetry, validate_chrome_trace
@@ -42,10 +43,10 @@ def main() -> None:
     )
 
     telemetry = SweepTelemetry()
-    telemetry.progress = ProgressRenderer(mode=args.progress)
     stats = SweepRunStats()
-    sweep = run_sweep(grid, workers=args.workers, cache=False,
-                      stats=stats, telemetry=telemetry)
+    sweep = run_sweep(grid, ProgressRenderer(stats, mode=args.progress),
+                      workers=args.workers, cache=False, stats=stats,
+                      telemetry=telemetry)
 
     print(f"\n{stats.points} points in {stats.wall_seconds:.2f}s "
           f"({stats.points_per_sec:.2f} points/sec, "
@@ -57,14 +58,13 @@ def main() -> None:
         print(f"  {name:24s} x{roll['count']:<4d} "
               f"{roll['total_s']:8.3f}s")
 
-    meta = sweep.meta["telemetry"]
     print("\nper-worker points "
           f"(fleet of {len(telemetry.workers())}):")
-    per_worker = meta["metrics"].get("sweep.workers.active", {})
-    for label, value in sorted(per_worker.get("values", {}).items()):
-        print(f"  {label:12s} active={value:g}")
-    print(f"  merged worker.points = "
-          f"{meta['metrics']['worker.points']['value']:g}")
+    simulated = Counter(span["worker"] for span in telemetry.spans()
+                        if span["name"] == "engine.simulate")
+    for pid in telemetry.workers():
+        print(f"  w{pid:<11d} {simulated[pid]} points")
+    assert sum(simulated.values()) == stats.simulated
 
     telemetry.write_chrome(args.trace_out)
     slices, tracks, errors = validate_chrome_trace(args.trace_out)
@@ -76,7 +76,7 @@ def main() -> None:
     assert bare.fingerprint() == sweep.fingerprint(), (
         "telemetry must be a pure reader"
     )
-    print(f"\ntelemetry-off fingerprint identical: "
+    print(f"\nfingerprint without a collector identical: "
           f"{sweep.fingerprint()[:16]}")
 
 

@@ -26,7 +26,8 @@ def main() -> None:
     )
     sweep = run_sweep(
         grid,
-        progress=lambda app, scheme: print(f"  {app} / {scheme.value}"),
+        progress=lambda spec, source, wall_ms, worker: print(
+            f"  {spec.app} / {spec.scheme.value}"),
     )
     sweep.save(path)
     print(f"saved {path}")

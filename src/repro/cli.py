@@ -36,8 +36,12 @@ from typing import Optional, Sequence
 from repro.analysis.access_dist import distribution_for_app
 from repro.analysis.tables import format_histogram, format_table
 from repro.errors import ReproError
+from repro.obs.progress import ProgressRenderer
+from repro.obs.telemetry import SweepTelemetry
 from repro.sim.config import ALL_SCHEMES, Scheme, parse_scheme
-from repro.sim.parallel import SweepPoint, build_simulator, simulate_point
+from repro.sim.parallel import (
+    SweepPoint, SweepRunStats, build_simulator, simulate_point,
+)
 from repro.sim.sweep import SweepGrid, run_sweep
 from repro.workloads.benchmarks import (
     all_benchmarks, characterization_table,
@@ -127,14 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "per point (CI-friendly), 'rich' renders "
                               "a rewritten status bar with ETA, worker "
                               "roster and straggler flags")
-    sweep_p.add_argument("--telemetry", action="store_true",
-                         help="record cross-worker spans and merged "
-                              "worker metrics into the sweep metadata "
-                              "(implied by --trace-out; --progress "
-                              "alone keeps saved output telemetry-free)")
     sweep_p.add_argument("--trace-out", default=None, metavar="PATH",
                          help="write the merged sweep Chrome trace "
-                              "(one track per worker process)")
+                              "(one track per worker process) and put "
+                              "its span rollup in --out's meta")
     sweep_p.add_argument("--out", default=None, metavar="PATH",
                          help="write the sweep results JSON")
     sweep_p.add_argument("--expect-min-hits", type=float, default=None,
@@ -254,8 +254,6 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.sim.parallel import SweepRunStats, resolve_workers
-
     apps = [a for a in args.apps.split(",") if a]
     if args.schemes:
         schemes = tuple(
@@ -267,25 +265,15 @@ def _cmd_sweep(args) -> int:
     grid = SweepGrid(apps=apps, schemes=schemes, cycles=args.cycles,
                      warmup=args.warmup, seed=args.seed,
                      overrides=_overrides(args))
-    telemetry = None
-    if args.telemetry or args.trace_out or args.progress:
-        from repro.obs.progress import ProgressRenderer
-        from repro.obs.telemetry import SweepTelemetry
-
-        telemetry = SweepTelemetry()
-        if args.progress:
-            telemetry.progress = ProgressRenderer(mode=args.progress)
     stats = SweepRunStats()
+    renderer = (ProgressRenderer(stats, mode=args.progress)
+                if args.progress else None)
+    telemetry = SweepTelemetry() if args.trace_out else None
     sweep = run_sweep(
-        grid, workers=args.workers, cache=args.cache,
+        grid, progress=renderer, workers=args.workers, cache=args.cache,
         cache_dir=args.cache_dir, timeout=args.timeout, stats=stats,
         telemetry=telemetry,
     )
-    if telemetry is not None and not (args.telemetry or args.trace_out):
-        # --progress alone is a live display, not a telemetry request:
-        # the saved JSON must stay identical to a progress-less run
-        # (CI byte-compares warm replays against it).
-        sweep.meta.pop("telemetry", None)
 
     throughput = sweep.normalized("instruction_throughput",
                                   baseline=Scheme.SRAM_64TSB.value)
@@ -298,20 +286,17 @@ def _cmd_sweep(args) -> int:
     print(
         f"{stats.points} points in {stats.wall_seconds:.2f}s "
         f"({stats.points_per_sec:.2f} points/sec) -- "
-        f"workers={resolve_workers(args.workers)} "
+        f"workers={stats.workers} "
         f"hits={stats.cache_hits} misses={stats.cache_misses} "
         f"simulated={stats.simulated} retried={stats.retried} "
         f"evictions={stats.cache_evictions} "
         f"utilization={stats.utilization:.0%}"
     )
     if telemetry is not None:
-        rollups = telemetry.rollups()
-        spanned = sum(r["total_s"] for name, r in rollups.items()
-                      if name == "sweep.run")
+        spanned = telemetry.rollups()["sweep.run"]["total_s"]
         print(f"telemetry: {len(telemetry.spans())} spans from "
               f"{max(1, len(telemetry.workers()))} worker(s), "
               f"sweep.run {spanned:.2f}s")
-    if args.trace_out:
         telemetry.write_chrome(args.trace_out)
         print(f"wrote {args.trace_out} "
               "(load in chrome://tracing or ui.perfetto.dev)")

@@ -29,8 +29,8 @@ from repro.obs.events import (
     EV_SCHED_EXEC, EV_SCHED_SKIP, EV_TSB_COMBINE,
 )
 from repro.obs.metrics import (
-    DEFAULT_PERCENTILES, Counter, Gauge, Histogram, LabeledGauge,
-    MetricsRegistry, percentiles_from_hist,
+    DEFAULT_PERCENTILES, Counter, Histogram, MetricsRegistry,
+    percentiles_from_hist,
 )
 from repro.obs.observability import Observability
 from repro.obs.progress import ProgressRenderer
@@ -38,8 +38,8 @@ from repro.obs.sampler import EpochSample, EpochSampler
 from repro.obs.schema import EVENT_SCHEMA, validate_event, validate_jsonl
 from repro.obs.sinks import ChromeTraceSink, JSONLSink
 from repro.obs.telemetry import (
-    SPAN_NAMES, SpanRecorder, SweepTelemetry, WorkerTelemetry,
-    rollup_spans, validate_chrome_trace,
+    SPAN_NAMES, SpanRecorder, SweepTelemetry, rollup_spans,
+    validate_chrome_trace,
 )
 
 __all__ = [
@@ -51,13 +51,13 @@ __all__ = [
     "EV_FAULT_RETRANSMIT", "EV_FAULT_TSB", "EV_GUARD_DEADLOCK",
     "EV_GUARD_VIOLATION", "EV_PKT_DELIVER", "EV_PKT_FORWARD",
     "EV_PKT_INJECT", "EV_SCHED_EXEC", "EV_SCHED_SKIP", "EV_TSB_COMBINE",
-    "DEFAULT_PERCENTILES", "Counter", "Gauge", "Histogram",
-    "LabeledGauge", "MetricsRegistry", "percentiles_from_hist",
+    "DEFAULT_PERCENTILES", "Counter", "Histogram", "MetricsRegistry",
+    "percentiles_from_hist",
     "Observability",
     "ProgressRenderer",
     "EpochSample", "EpochSampler",
     "EVENT_SCHEMA", "validate_event", "validate_jsonl",
     "ChromeTraceSink", "JSONLSink",
-    "SPAN_NAMES", "SpanRecorder", "SweepTelemetry", "WorkerTelemetry",
-    "rollup_spans", "validate_chrome_trace",
+    "SPAN_NAMES", "SpanRecorder", "SweepTelemetry", "rollup_spans",
+    "validate_chrome_trace",
 ]

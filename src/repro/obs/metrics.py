@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and percentile histograms.
+"""Metrics registry: counters and percentile histograms.
 
 The simulator's per-subsystem stats objects (``NetworkStats``,
 ``BankStats``) stay the bit-identical source of truth for the
@@ -14,7 +14,7 @@ percentiles through :func:`percentiles_from_hist`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 #: The default percentile set reported everywhere (p50/p95/p99).
 DEFAULT_PERCENTILES: Tuple[float, ...] = (50.0, 95.0, 99.0)
@@ -72,57 +72,6 @@ class Counter:
 
     def as_dict(self) -> Dict:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """Last-written instantaneous value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def as_dict(self) -> Dict:
-        return {"type": "gauge", "value": self.value}
-
-
-class LabeledGauge:
-    """Instantaneous values keyed by a label dimension.
-
-    A plain :class:`Gauge` is last-write-wins, which silently loses
-    information when several writers (e.g. pool workers) share one
-    merged registry.  A labeled gauge keeps one value per label, so
-    ``sweep.workers.active{worker=w123}`` and ``{worker=w456}`` coexist
-    instead of overwriting each other.
-    """
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.values: Dict[str, float] = {}
-
-    def set(self, value: float, label: str = "default") -> None:
-        self.values[label] = float(value)
-
-    def get(self, label: str = "default") -> float:
-        return self.values.get(label, 0.0)
-
-    def labels(self) -> List[str]:
-        return sorted(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_dict(self) -> Dict:
-        return {
-            "type": "labeled_gauge",
-            "values": {k: self.values[k] for k in sorted(self.values)},
-        }
 
 
 class Histogram:
@@ -192,17 +141,8 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def labeled_gauge(self, name: str) -> LabeledGauge:
-        return self._get(name, LabeledGauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def get(self, name: str) -> Optional[object]:
-        return self._metrics.get(name)
 
     def names(self) -> List[str]:
         return sorted(self._metrics)
@@ -217,70 +157,3 @@ class MetricsRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
-
-    # ------------------------------------------------------------------
-    # Serialisation and cross-registry merge (sweep telemetry)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict:
-        """JSON-serialisable dump of every metric's raw state.
-
-        Unlike :meth:`as_dict` (which renders derived views such as
-        percentiles), the snapshot preserves the exact histogram
-        buckets so a receiving registry can merge it losslessly with
-        :meth:`merge_snapshot`.  Histogram bucket keys are stringified
-        for JSON; the merge converts them back.
-        """
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
-        labeled: Dict[str, Dict[str, float]] = {}
-        histograms: Dict[str, Dict[str, int]] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Counter):
-                counters[name] = metric.value
-            elif isinstance(metric, LabeledGauge):
-                labeled[name] = dict(metric.values)
-            elif isinstance(metric, Gauge):
-                gauges[name] = metric.value
-            elif isinstance(metric, Histogram):
-                histograms[name] = {
-                    str(value): count for value, count in metric.hist.items()
-                }
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "labeled_gauges": labeled,
-            "histograms": histograms,
-        }
-
-    def merge_snapshot(self, snapshot: Mapping,
-                       worker: Optional[str] = None) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Merge semantics (the sweep-wide aggregation contract):
-
-        * **counters** sum,
-        * **histograms** bucket-merge (exact: both sides hold raw
-          ``value -> count`` maps),
-        * **gauges** become a :class:`LabeledGauge` entry under the
-          ``worker`` label when one is given -- per-worker values
-          coexist instead of overwriting each other -- and fall back to
-          last-write-wins without a label,
-        * **labeled gauges** merge their label maps (same-label values
-          are last-write-wins).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, buckets in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name)
-            for value, count in buckets.items():
-                hist.observe(int(value), count)
-        for name, value in snapshot.get("gauges", {}).items():
-            if worker is not None:
-                self.labeled_gauge(name).set(value, label=worker)
-            else:
-                self.gauge(name).set(value)
-        for name, values in snapshot.get("labeled_gauges", {}).items():
-            gauge = self.labeled_gauge(name)
-            for label, value in values.items():
-                gauge.set(value, label=label)

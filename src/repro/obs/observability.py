@@ -21,7 +21,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.events import (
     EV_ARB_REORDER, EV_BANK_START, EV_EST_PREDICT, EV_EST_UPDATE,
@@ -39,15 +39,11 @@ class Observability:
 
     Args:
         epoch: Sampling period of the epoch sampler, in cycles.
-        sample: Disable the epoch sampler entirely when False (pure
-            event tracing, slightly cheaper).
     """
 
-    def __init__(self, epoch: int = 256, sample: bool = True):
+    def __init__(self, epoch: int = 256):
         self.registry = MetricsRegistry()
-        self.sampler: Optional[EpochSampler] = (
-            EpochSampler(epoch) if sample else None
-        )
+        self.sampler = EpochSampler(epoch)
         self.sinks: List = []
         #: region index -> cumulative flits carried by that region's TSB
         self.tsb_flits: Dict[int, int] = {}
@@ -95,8 +91,7 @@ class Observability:
                 self._tsb_port_region[(region.tsb_core_node, DOWN)] = \
                     region.index
                 self.tsb_flits.setdefault(region.index, 0)
-        if self.sampler is not None:
-            self.sampler.bind(sim, self)
+        self.sampler.bind(sim, self)
 
     def detach(self) -> None:
         """Remove every trace hook; the simulator runs dark again."""
@@ -207,30 +202,26 @@ class Observability:
 
     def on_cycle(self, now: int) -> None:
         """One executed cycle under the *dense* scheduler."""
-        if self.sampler is not None:
-            self.sampler.on_cycle(now)
+        self.sampler.on_cycle(now)
 
     def on_executed_cycle(self, now: int) -> None:
         """One executed cycle under the *event* scheduler."""
-        if self.sampler is not None:
-            self.sampler.on_cycle(now)
+        self.sampler.on_cycle(now)
         self.registry.counter("sched.executed_cycles").inc()
         if self.sinks:
             self.emit(now, EV_SCHED_EXEC, {})
 
     def on_measurement_start(self, sim) -> None:
         """Measurement stats were reset; re-baseline the sampler."""
-        if self.sampler is not None:
-            self.sampler.reset(sim.cycle)
+        self.sampler.reset(sim.cycle)
 
     def on_run_end(self, sim) -> None:
         """A run() window completed; close the sampler's last epoch."""
-        if self.sampler is not None:
-            self.sampler.final_sample(sim.cycle)
+        self.sampler.final_sample(sim.cycle)
 
     # ------------------------------------------------------------------
 
     @property
     def samples(self):
-        """The epoch sampler's time-series (empty when sampling is off)."""
-        return [] if self.sampler is None else self.sampler.samples
+        """The epoch sampler's time-series."""
+        return self.sampler.samples

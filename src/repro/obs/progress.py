@@ -1,4 +1,4 @@
-"""Live sweep progress rendering off the telemetry stream.
+"""Live sweep progress: a ``progress=`` callable for the sweep engine.
 
 Two modes, selected by ``repro.cli sweep --progress={plain,rich}``:
 
@@ -8,10 +8,10 @@ Two modes, selected by ``repro.cli sweep --progress={plain,rich}``:
   bar, points/sec, ETA, cache-hit rate, per-worker completion counts
   and straggler flagging.
 
-The renderer is a passive consumer of
-:class:`~repro.obs.telemetry.SweepTelemetry` point-completion
-callbacks; it never touches simulation state, so rendering cannot
-perturb results (the pure-reader guarantee).
+:class:`ProgressRenderer` is the ``progress`` callable of
+:func:`~repro.sim.parallel.run_points` (and ``run_sweep``), called
+once per finished point; it never touches simulation state, so
+rendering cannot perturb results (the pure-reader guarantee).
 
 Straggler heuristic: completions are chunk-granular, so the renderer
 cannot see *inside* a worker's in-flight chunk.  It tracks each
@@ -40,19 +40,26 @@ STRAGGLER_MIN_S = 1.0
 
 
 class ProgressRenderer:
-    """Terminal renderer for live sweep progress."""
+    """Terminal renderer for live sweep progress.
 
-    def __init__(self, mode: str = "plain", out=None, now=time.monotonic):
+    ``stats`` is the run's :class:`~repro.sim.parallel.SweepRunStats`:
+    the renderer reads the point total from ``stats.points``, which the
+    engine sets before the first point finishes.  Call the renderer as
+    ``renderer(spec, source, wall_ms, worker)`` once per finished point,
+    where ``source`` is ``"sim"`` or ``"hit"``.
+    """
+
+    def __init__(self, stats, mode: str = "plain", out=None,
+                 now=time.monotonic):
         if mode not in ("plain", "rich"):
             raise ValueError(f"progress mode must be plain or rich, "
                              f"got {mode!r}")
+        self.stats = stats
         self.mode = mode
         self.out = out if out is not None else sys.stderr
         self._now = now
-        self.total = 0
         self.done = 0
         self.hits = 0
-        self.workers = 0
         self._t0 = now()
         #: completion timestamps of the rolling ETA window
         self._ticks: Deque[float] = deque(maxlen=ETA_WINDOW)
@@ -60,40 +67,27 @@ class ProgressRenderer:
         self._walls: Deque[float] = deque(maxlen=ETA_WINDOW)
         #: worker pid -> (points completed, last completion timestamp)
         self.per_worker: Dict[int, Tuple[int, float]] = {}
-        self._line_open = False
 
-    # ------------------------------------------------------------------
-    # Telemetry callbacks
-    # ------------------------------------------------------------------
+    @property
+    def total(self) -> int:
+        return self.stats.points
 
-    def begin(self, total: int, workers: int) -> None:
-        self.total = total
-        self.workers = workers
-        self._t0 = self._now()
-
-    def on_point(self, label: str, source: str, wall_ms: float,
-                 worker: Optional[int], done: int, total: int) -> None:
+    def __call__(self, spec, source: str, wall_ms: float,
+                 worker: Optional[int]) -> None:
         now = self._now()
-        self.done = done
-        self.total = total or self.total
+        self.done += 1
         if source == "hit":
             self.hits += 1
-        if source == "sim":
+        else:
             self._ticks.append(now)
             self._walls.append(wall_ms / 1e3)
         if worker is not None:
             count, _last = self.per_worker.get(worker, (0, now))
             self.per_worker[worker] = (count + 1, now)
         if self.mode == "plain":
-            self._render_plain(label, source)
+            self._render_plain(spec.label(), source)
         else:
             self._render_rich(now)
-
-    def close(self) -> None:
-        if self._line_open:
-            self.out.write("\n")
-            self.out.flush()
-            self._line_open = False
 
     # ------------------------------------------------------------------
     # Rate / ETA / straggler estimation
@@ -182,6 +176,7 @@ class ProgressRenderer:
             parts.append(f"STRAGGLER w{slowest[0]} "
                          f"silent {slowest[1]:.1f}s")
         line = "  ".join(parts)
-        self.out.write("\r\x1b[2K" + line)
+        # The last point ends the rewritten line.
+        end = "\n" if self.done >= self.total else ""
+        self.out.write("\r\x1b[2K" + line + end)
         self.out.flush()
-        self._line_open = True

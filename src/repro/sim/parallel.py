@@ -23,7 +23,8 @@ Design contract (tested in ``tests/test_parallel_sweep.py``):
   invalidated in place.
 * **Fault tolerance** -- every cache entry carries a SHA-256 payload
   digest that is re-verified on read, so a truncated or tampered entry
-  is evicted and re-simulated (counted in ``sweep.cache.evictions``).
+  is evicted and re-simulated (counted in
+  ``SweepRunStats.cache_evictions``).
   A crashed or timed-out worker chunk falls back to the parent, where
   each point's simulation is retried up to :data:`MAX_RETRIES` times
   with bounded exponential backoff before the sweep fails.  A typed
@@ -34,16 +35,15 @@ Design contract (tested in ``tests/test_parallel_sweep.py``):
   re-run against the same cache directory serves its finished points
   as hits and simulates only the rest.
 
-The engine reports progress and utilisation through the telemetry
-plane's :class:`repro.obs.metrics.MetricsRegistry` (``sweep.*``
-metrics) and is exposed on the command line as
-``python -m repro.cli sweep``.
+The engine counts in one place, :class:`SweepRunStats`, records
+wall-clock spans on every run (:mod:`repro.obs.telemetry`), reports
+each finished point to one ``progress`` callable, and is exposed on
+the command line as ``python -m repro.cli sweep``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import enum
 import hashlib
 import json
@@ -54,7 +54,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ReproError
-from repro.obs.telemetry import SweepTelemetry, WorkerTelemetry
+from repro.obs.telemetry import SpanRecorder, SweepTelemetry
 from repro.sim.config import Scheme
 
 #: Bumped when the cached payload layout (not the simulated content)
@@ -227,7 +227,7 @@ class SweepCache:
         self.root = root or default_cache_dir()
         self.version = version if version is not None else code_version()
         #: corrupt entries discarded by :meth:`get` over this object's
-        #: lifetime (mirrored into ``sweep.cache.evictions``)
+        #: lifetime
         self.evictions = 0
 
     def path_for(self, key: str) -> str:
@@ -297,70 +297,67 @@ def build_simulator(spec: SweepPoint, **options):
     return CMPSimulator(config, workload, **options)
 
 
-def simulate_point(spec: SweepPoint, recorder=None) -> Dict:
+def simulate_point(spec: SweepPoint,
+                   recorder: Optional[SpanRecorder] = None) -> Dict:
     """Simulate one grid point from a clean process-global state.
 
     Top-level (hence picklable under the ``spawn`` start method) and
     hermetic: the result depends only on ``spec``, never on what ran
-    earlier in the process.  ``recorder`` (a
-    :class:`~repro.obs.telemetry.SpanRecorder`) splits the run into
-    ``engine.setup``/``engine.simulate`` spans; it observes wall time
-    only and never alters the summary.
+    earlier in the process.  ``recorder`` (a private one when none is
+    passed) splits the run into ``engine.setup``/``engine.simulate``
+    spans; it observes wall time only and never alters the summary.
     """
-    def span(name: str):
-        if recorder is None:
-            return contextlib.nullcontext()
-        return recorder.span(name, app=spec.app, scheme=spec.scheme.value)
-
-    with span("engine.setup"):
+    recorder = recorder if recorder is not None else SpanRecorder()
+    labels = {"app": spec.app, "scheme": spec.scheme.value}
+    with recorder.span("engine.setup", **labels):
         sim = build_simulator(spec)
-    with span("engine.simulate"):
+    with recorder.span("engine.simulate", **labels):
         result = sim.run(spec.cycles, warmup=spec.warmup)
     return result.to_dict()
 
 
-def _simulate_chunk(specs: Sequence[SweepPoint], telemetry: bool = False,
-                    submit_ts: Optional[float] = None) -> Dict:
+def _simulate_chunk(specs: Sequence[SweepPoint], submit_ts: float) -> Dict:
     """Worker entry point: one IPC round-trip covers a chunk of points.
 
-    Returns ``{"rows": [{"result", "wall_ms"}, ...], "telemetry":
-    payload-or-None}``.  With ``telemetry`` on, the rows are joined by
-    the chunk's span list and a per-chunk metrics *delta* snapshot
-    (fresh registry per chunk, so the parent can sum snapshots without
-    double counting); ``submit_ts`` is the parent's monotonic submit
-    time, from which the queue-wait span is derived.
+    Returns ``{"pid", "rows": [{"result", "wall_ms"}, ...], "spans"}``.
+    ``submit_ts`` is the parent's monotonic submit time, from which the
+    ``chunk.queue_wait`` span is derived (``CLOCK_MONOTONIC`` is
+    system-wide on the platforms we run on, so worker and parent share
+    a timeline).
     """
-    tel = WorkerTelemetry(submit_ts=submit_ts) if telemetry else None
+    recorder = SpanRecorder()
     t_chunk = time.monotonic()
-    out = []
+    # Clamp: clocks agree across processes on one host, but a fork
+    # that wins the race could start marginally "early".
+    recorder.add("chunk.queue_wait", min(submit_ts, t_chunk),
+                 t_chunk - submit_ts)
+    rows = []
     for spec in specs:
         t0 = time.perf_counter()
-        if tel is not None:
-            result = simulate_point(spec, recorder=tel.recorder)
-        else:
-            result = simulate_point(spec)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        if tel is not None:
-            tel.point_done(wall_ms)
-        out.append({"result": result, "wall_ms": wall_ms})
-    if tel is not None:
-        tel.recorder.add("chunk.run", t_chunk,
-                         time.monotonic() - t_chunk, points=len(specs))
-    return {"rows": out,
-            "telemetry": tel.export() if tel is not None else None}
+        result = simulate_point(spec, recorder)
+        rows.append({"result": result,
+                     "wall_ms": (time.perf_counter() - t0) * 1e3})
+    recorder.add("chunk.run", t_chunk, time.monotonic() - t_chunk,
+                  points=len(specs))
+    return {"pid": recorder.worker, "rows": rows,
+            "spans": recorder.spans}
 
 
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
 
-ProgressFn = Callable[[str, Scheme], None]
+#: ``progress(spec, source, wall_ms, worker)``, called once per
+#: finished point: ``source`` is ``"sim"`` or ``"hit"``, ``wall_ms``
+#: the point's simulation time (0 for a hit) and ``worker`` the pid
+#: that simulated it (None for a hit).
+ProgressFn = Callable[[SweepPoint, str, float, Optional[int]], None]
 
 
 @dataclass
 class SweepRunStats:
-    """Execution counters of one engine run (also mirrored into the
-    telemetry registry as ``sweep.*``)."""
+    """Execution counters of one engine run: the sweep's only counts
+    (spans hold its time)."""
 
     points: int = 0
     cache_hits: int = 0
@@ -459,22 +456,19 @@ def run_points(
     The returned mapping is insertion-ordered by first occurrence in
     ``specs`` and independent of completion order.
 
+    ``stats`` receives the run's counters, ``progress`` (a
+    :data:`ProgressFn`) hears of every finished point, and
     ``telemetry`` (a :class:`~repro.obs.telemetry.SweepTelemetry`)
-    turns on the sweep-scoped telemetry plane: cross-worker span
-    recording, per-worker metric snapshots merged into one registry
-    (``sweep.*`` run counters included), and the live-progress stream.
-    Telemetry is a pure reader -- it never alters results, cache keys
-    or completion order -- so a telemetry-on run is byte-identical to a
-    telemetry-off one.
+    collects the run's spans from the parent and every worker.  Spans
+    are recorded on every run -- into a private collector when none is
+    passed -- so passing one never changes what runs; none of the three
+    alters results, cache keys or completion order.
     """
     stats = stats if stats is not None else SweepRunStats()
+    tel = telemetry if telemetry is not None else SweepTelemetry()
+    # The parent acts as a worker on the serial and retry paths.
+    recorder = tel.recorder
     stats.workers = resolve_workers(workers)
-    tel = telemetry
-    # Parent-as-worker telemetry bundle: serial execution and pool
-    # retries simulate in this process; their spans and per-point
-    # metrics are recorded here and absorbed at the end, so the merged
-    # registry sees identical counter totals whatever the worker count.
-    wtel = WorkerTelemetry() if tel is not None else None
     t_start = time.perf_counter()
     t_mono = time.monotonic()
 
@@ -491,42 +485,31 @@ def run_points(
             results[key] = None  # placeholder fixing output order
     stats.points = len(spec_of_key)
 
-    def finish(key: str, result: Dict, wall_ms: float = 0.0,
-               source: str = "sim", worker: Optional[int] = None) -> None:
+    def finish(key: str, result: Dict, source: str, wall_ms: float = 0.0,
+               worker: Optional[int] = None) -> None:
         results[key] = result
-        if tel is not None:
-            tel.point_done(spec_of_key[key].label(), source,
-                           wall_ms=wall_ms, worker=worker)
         if progress is not None:
-            spec = spec_of_key[key]
-            progress(spec.app, spec.scheme)
+            progress(spec_of_key[key], source, wall_ms, worker)
 
     def cache_put(key: str, result: Dict) -> None:
         if store is None:
             return
-        if tel is not None:
-            t0 = time.monotonic()
-            store.put(key, spec_of_key[key].canonical(), result)
-            tel.recorder.add("point.cache_write", t0,
-                             time.monotonic() - t0)
-        else:
-            store.put(key, spec_of_key[key].canonical(), result)
+        t0 = time.monotonic()
+        store.put(key, spec_of_key[key].canonical(), result)
+        recorder.add("point.cache_write", t0, time.monotonic() - t0)
 
-    if tel is not None:
-        tel.begin(stats.points, stats.workers)
     t_plan = time.monotonic()
     misses: List[str] = []
     for key, spec in spec_of_key.items():
         cached = store.get(key) if store is not None else None
         if cached is not None:
             stats.cache_hits += 1
-            finish(key, cached, source="hit")
+            finish(key, cached, "hit")
         else:
             misses.append(key)
     stats.cache_misses = len(misses)
-    if tel is not None:
-        tel.recorder.add("sweep.plan", t_plan, time.monotonic() - t_plan,
-                         points=stats.points, misses=len(misses))
+    recorder.add("sweep.plan", t_plan, time.monotonic() - t_plan,
+                 points=stats.points, misses=len(misses))
 
     def simulate_with_retries(key: str) -> Tuple[Dict, float]:
         """One point's summary and wall time in ms; the simulation alone
@@ -537,11 +520,7 @@ def run_points(
         while True:
             t0 = time.perf_counter()
             try:
-                if wtel is not None:
-                    result = simulate_point(spec_of_key[key],
-                                            recorder=wtel.recorder)
-                else:
-                    result = simulate_point(spec_of_key[key])
+                result = simulate_point(spec_of_key[key], recorder)
             except ReproError:
                 raise
             except Exception:
@@ -557,49 +536,32 @@ def run_points(
         result, wall_ms = simulate_with_retries(key)
         stats.busy_seconds += wall_ms / 1e3
         stats.simulated += 1
-        if wtel is not None:
-            wtel.point_done(wall_ms)
         cache_put(key, result)
-        finish(key, result, wall_ms,
-               worker=wtel.pid if wtel is not None else None)
+        finish(key, result, "sim", wall_ms, recorder.worker)
 
     def run_pool() -> None:
         # ~4 chunks per worker: load-balanced while amortising
         # pickling/IPC over several points per round-trip.
-        # Telemetry-off keeps the historical task arity so test stubs
-        # (and any external monkeypatching) see unchanged signatures.
-        want_tel = tel is not None
-        tel_args = (True,) if want_tel else ()
         chunk_size = max(1, len(misses) // (stats.workers * 4))
-        tasks: List[Tuple] = [
-            (_simulate_chunk,
-             (tuple(spec_of_key[k] for k in chunk),) + tel_args,
-             chunk)
-            for chunk in _chunked(misses, chunk_size)
-        ]
-        stats.chunks = len(tasks)
+        chunks = _chunked(misses, chunk_size)
+        stats.chunks = len(chunks)
         retry: List[str] = []
         # The overall deadline is the sum of the per-point budgets: the
         # pool as a whole never waits longer than ``timeout`` per point.
         deadline = timeout * len(misses) if timeout else None
         executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(stats.workers, len(tasks)),
+            max_workers=min(stats.workers, len(chunks)),
             mp_context=_mp_context(),
         )
-        def submit(executor, fn, args):
-            # The submit timestamp rides along so the worker can record
-            # its queue-wait span (CLOCK_MONOTONIC is system-wide on
-            # the platforms we run on, so worker and parent share a
-            # timeline).
-            if want_tel:
-                return executor.submit(fn, *args, time.monotonic())
-            return executor.submit(fn, *args)
-
         finished = False
         try:
             futures = {
-                submit(executor, fn, args): chunk
-                for fn, args, chunk in tasks
+                executor.submit(
+                    _simulate_chunk,
+                    tuple(spec_of_key[k] for k in chunk),
+                    time.monotonic(),
+                ): chunk
+                for chunk in chunks
             }
             for future in concurrent.futures.as_completed(
                     futures, timeout=deadline):
@@ -619,16 +581,13 @@ def run_points(
                     stats.worker_crashes += 1
                     retry.extend(chunk)
                 else:
-                    worker_pid = None
-                    if tel is not None and payload["telemetry"] is not None:
-                        worker_pid = payload["telemetry"]["pid"]
-                        tel.absorb(payload["telemetry"])
+                    tel.absorb(payload["spans"])
                     for key, row in zip(chunk, payload["rows"]):
                         stats.simulated += 1
                         stats.busy_seconds += row["wall_ms"] / 1e3
                         cache_put(key, row["result"])
-                        finish(key, row["result"], row["wall_ms"],
-                               worker=worker_pid)
+                        finish(key, row["result"], "sim", row["wall_ms"],
+                               payload["pid"])
             finished = True
         except concurrent.futures.TimeoutError:
             # Deadline tripped: everything unfinished retries serially.
@@ -654,35 +613,12 @@ def run_points(
             run_serially(key)
     else:
         run_pool()
+    recorder.add("sweep.dispatch", t_dispatch,
+                 time.monotonic() - t_dispatch, simulated=stats.simulated)
 
     stats.wall_seconds = time.perf_counter() - t_start
-
     if store is not None:
         stats.cache_evictions = store.evictions
-
-    if tel is not None:
-        tel.recorder.add("sweep.dispatch", t_dispatch,
-                         time.monotonic() - t_dispatch,
-                         simulated=stats.simulated)
-        # The parent acted as a worker on the serial and retry paths;
-        # only absorb its bundle if it actually recorded something.
-        if len(wtel.recorder) or len(wtel.registry):
-            tel.absorb(wtel.export())
-        reg = tel.registry
-        reg.counter("sweep.points").inc(stats.points)
-        reg.counter("sweep.cache.hits").inc(stats.cache_hits)
-        reg.counter("sweep.cache.misses").inc(stats.cache_misses)
-        reg.counter("sweep.cache.evictions").inc(stats.cache_evictions)
-        reg.counter("sweep.simulated").inc(stats.simulated)
-        reg.counter("sweep.retried").inc(stats.retried)
-        reg.counter("sweep.worker_crashes").inc(stats.worker_crashes)
-        reg.gauge("sweep.workers").set(stats.workers)
-        reg.gauge("sweep.utilization").set(stats.utilization)
-        reg.gauge("sweep.points_per_sec").set(stats.points_per_sec)
-        active = reg.labeled_gauge("sweep.workers.active")
-        for pid in tel.workers():
-            active.set(1, label=f"w{pid}")
-        tel.recorder.add("sweep.run", t_mono, stats.wall_seconds,
-                         points=stats.points)
-        tel.finish()
+    recorder.add("sweep.run", t_mono, stats.wall_seconds,
+                 points=stats.points)
     return results

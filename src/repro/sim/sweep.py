@@ -165,10 +165,12 @@ def run_sweep(grid: SweepGrid,
     The resulting ``SweepResults.data`` -- and hence the fingerprint --
     is identical in all modes, across worker counts and cache states.
 
-    ``telemetry`` accepts a
-    :class:`~repro.obs.telemetry.SweepTelemetry`; when given, spans and
-    merged worker metrics land in ``SweepResults.meta["telemetry"]``
-    (informational only -- the fingerprint hashes ``data`` alone).
+    ``progress`` is called once per finished point (see
+    :data:`~repro.sim.parallel.ProgressFn`).  ``telemetry`` accepts a
+    :class:`~repro.obs.telemetry.SweepTelemetry`; when given, its span
+    rollups, worker roster and the run's ``stats`` land in
+    ``SweepResults.meta["telemetry"]`` (informational only -- the
+    fingerprint hashes ``data`` alone).
 
     A sweep writes nothing but its result cache.  ``ledger`` is kept
     only because ``bench/run.py`` still passes ``ledger=False``; the
@@ -179,6 +181,7 @@ def run_sweep(grid: SweepGrid,
         raise ConfigError("the run ledger was removed; a sweep writes "
                           "only its result cache")
     specs = grid.point_specs()
+    stats = stats if stats is not None else SweepRunStats()
     resolved = run_points(
         specs, workers=workers, cache=cache, cache_dir=cache_dir,
         progress=progress, timeout=timeout, stats=stats,
@@ -191,5 +194,5 @@ def run_sweep(grid: SweepGrid,
         )
     meta = {}
     if telemetry is not None:
-        meta["telemetry"] = telemetry.as_meta()
+        meta["telemetry"] = telemetry.as_meta(stats)
     return SweepResults(grid.spec_dict(), data, meta=meta)

@@ -47,7 +47,7 @@ class _AbortAfter:
         self.n = n
         self.seen = 0
 
-    def __call__(self, app, scheme):
+    def __call__(self, spec, source, wall_ms, worker):
         self.seen += 1
         if self.seen >= self.n:
             raise KeyboardInterrupt("simulated crash")
@@ -198,10 +198,10 @@ class TestHardenedCache:
         path = cache.path_for(points[0].key())
         with open(path, "w") as fh:
             fh.write("{not json")
-        tel = SweepTelemetry()
+        stats, tel = SweepRunStats(), SweepTelemetry()
         run_points(points, workers=1, cache=True, cache_dir=cache_dir,
-                   telemetry=tel)
-        assert tel.registry.counter("sweep.cache.evictions").value == 1
+                   stats=stats, telemetry=tel)
+        assert tel.as_meta(stats)["stats"]["cache_evictions"] == 1
 
 
 class _FlakyPoint:
@@ -212,11 +212,11 @@ class _FlakyPoint:
         self.real = real
         self.calls = 0
 
-    def __call__(self, spec):
+    def __call__(self, spec, recorder):
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError("transient worker wobble")
-        return self.real(spec)
+        return self.real(spec, recorder)
 
 
 class TestPerPointRetry:

@@ -15,6 +15,7 @@ call, so state leaking from one point into the next would show.
 """
 
 import random
+import time
 
 import pytest
 
@@ -66,7 +67,7 @@ def test_field_level_identity_across_schemes(width, seed, monkeypatch):
                         CapturingSimulator)
     results = []
     for chunk in parallel._chunked(specs, width):
-        payload = parallel._simulate_chunk(chunk)
+        payload = parallel._simulate_chunk(chunk, time.monotonic())
         results.extend(row["result"] for row in payload["rows"])
     monkeypatch.undo()
 

@@ -299,7 +299,7 @@ class TestCacheCorrectness:
 # ----------------------------------------------------------------------
 
 
-def _exploding_chunk(specs):  # top-level: must pickle into workers
+def _exploding_chunk(specs, submit_ts):  # top-level: must pickle
     raise RuntimeError("injected worker crash")
 
 
@@ -351,7 +351,7 @@ class TestFaultTolerance:
         assert len(results) == 2
 
     def test_genuine_bug_raises_after_retry(self, monkeypatch):
-        def bad_point(spec):
+        def bad_point(spec, recorder):
             raise ValueError("real simulation bug")
 
         monkeypatch.setattr(parallel, "_simulate_chunk",
@@ -368,21 +368,27 @@ class TestFaultTolerance:
 
 class TestMetricsWiring:
     def test_registry_sees_hits_misses_and_utilisation(self, tmp_path):
+        """The run's counts live in ``SweepRunStats``; its spans count
+        one ``engine.simulate`` per simulated point."""
         from repro.obs.telemetry import SweepTelemetry
 
         cold, warm = SweepTelemetry(), SweepTelemetry()
+        runs = []
         for tel in (cold, warm):
+            stats = SweepRunStats()
             run_sweep(tiny_grid(), workers=1, cache=True,
-                      cache_dir=str(tmp_path), telemetry=tel)
-        for tel, hits in ((cold, 0), (warm, 4)):
-            registry = tel.registry
-            assert registry.counter("sweep.points").value == 4
-            assert registry.counter("sweep.cache.misses").value == 4 - hits
-            assert registry.counter("sweep.cache.hits").value == hits
-            assert registry.counter("sweep.simulated").value == 4 - hits
-            assert "sweep.workers" in registry
-            assert "sweep.utilization" in registry
-        assert cold.registry.histogram("worker.point_ms").count == 4
+                      cache_dir=str(tmp_path), stats=stats, telemetry=tel)
+            runs.append(stats)
+        for stats, hits in zip(runs, (0, 4)):
+            assert stats.points == 4
+            assert stats.cache_misses == 4 - hits
+            assert stats.cache_hits == hits
+            assert stats.simulated == 4 - hits
+            assert stats.workers == 1
+        assert 0.0 < runs[0].utilization <= 1.0
+        assert runs[1].utilization == 0.0
+        assert cold.rollups()["engine.simulate"]["count"] == 4
+        assert "engine.simulate" not in warm.rollups()
 
     def test_stats_points_per_sec_and_hit_rate(self, tmp_path):
         stats = SweepRunStats()

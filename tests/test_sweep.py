@@ -80,8 +80,9 @@ class TestRunSweep:
         seen = []
         grid = SweepGrid(apps=["x264"], schemes=(Scheme.SRAM_64TSB,),
                          cycles=200, warmup=50, overrides=dict(FAST))
-        run_sweep(grid, progress=lambda a, s: seen.append((a, s)))
-        assert seen == [("x264", Scheme.SRAM_64TSB)]
+        run_sweep(grid, progress=lambda spec, source, wall_ms, worker:
+                  seen.append((spec.app, spec.scheme, source)))
+        assert seen == [("x264", Scheme.SRAM_64TSB, "sim")]
 
 
 def test_default_sweep_writes_nothing_outside_its_cache(tmp_path,

@@ -1,32 +1,34 @@
-"""Fleet telemetry: spans, merged metrics, progress, CLI.
+"""Sweep telemetry: spans, progress, CLI.
 
 The contracts under test (see ``repro/obs/telemetry.py`` and
 ``repro/obs/progress.py``):
 
 * telemetry is a **pure reader** -- the sweep fingerprint is
-  unperturbed across {workers 1, 2} x {cold, warm} with recording on,
-  and merged worker counters equal the serial run's;
-* telemetry costs a fixed number of spans per point and per sweep,
-  never per simulated cycle;
-* worker metric snapshots merge losslessly (counters sum, histograms
-  bucket-merge, gauges gain per-worker labels);
+  unperturbed across {workers 1, 2} x {cold, warm} with a collector
+  passed;
+* the engine records a fixed number of spans per point and per sweep,
+  never per simulated cycle, and its span counts agree with the
+  ``SweepRunStats`` counters whatever the worker count;
 * the merged Chrome trace validates, carries one track per worker
-  process, and its span rollups cover the sweep wall time.
+  process, and its span rollups cover the sweep wall time;
+* progress is one callable per finished point, and ``--progress``
+  never changes what a sweep saves.
 """
 
 import json
+import os
+import time
 from collections import Counter
 
 import pytest
 
-from repro.obs.metrics import LabeledGauge, MetricsRegistry
 from repro.obs.progress import ProgressRenderer
 from repro.obs.telemetry import (
-    SPAN_NAMES, SpanRecorder, SweepTelemetry, WorkerTelemetry,
-    rollup_spans, validate_chrome_trace,
+    SPAN_NAMES, SpanRecorder, SweepTelemetry, rollup_spans,
+    validate_chrome_trace,
 )
 from repro.sim.config import Scheme
-from repro.sim.parallel import SweepRunStats
+from repro.sim.parallel import SweepPoint, SweepRunStats, _simulate_chunk
 from repro.sim.sweep import SweepGrid, run_sweep
 
 FAST = {"mesh_width": 4, "capacity_scale": 1 / 64}
@@ -47,96 +49,7 @@ def tiny_grid(**kw):
 
 
 # ----------------------------------------------------------------------
-# Metrics: LabeledGauge and the snapshot/merge contract
-# ----------------------------------------------------------------------
-
-
-class TestLabeledGauge:
-    def test_labels_coexist(self):
-        gauge = LabeledGauge("workers.active")
-        gauge.set(1, label="w1")
-        gauge.set(2.5, label="w2")
-        assert gauge.get("w1") == 1.0
-        assert gauge.get("w2") == 2.5
-        assert gauge.get("missing") == 0.0
-        assert gauge.labels() == ["w1", "w2"]
-        assert len(gauge) == 2
-
-    def test_as_dict_sorted(self):
-        gauge = LabeledGauge("g")
-        gauge.set(2, label="b")
-        gauge.set(1, label="a")
-        assert gauge.as_dict() == {
-            "type": "labeled_gauge", "values": {"a": 1.0, "b": 2.0},
-        }
-
-    def test_registry_binding_conflicts_raise(self):
-        registry = MetricsRegistry()
-        registry.labeled_gauge("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-        with pytest.raises(TypeError):
-            registry.counter("x")
-
-
-class TestSnapshotMerge:
-    def worker_registry(self, points):
-        reg = MetricsRegistry()
-        for wall in points:
-            reg.counter("worker.points").inc()
-            reg.histogram("worker.point_ms").observe(wall)
-            reg.gauge("worker.last_point_ms").set(wall)
-        return reg
-
-    def test_counters_sum_and_histograms_bucket_merge(self):
-        merged = MetricsRegistry()
-        merged.merge_snapshot(self.worker_registry([5, 5, 9]).snapshot(),
-                              worker="w1")
-        merged.merge_snapshot(self.worker_registry([5, 30]).snapshot(),
-                              worker="w2")
-        assert merged.counter("worker.points").value == 5
-        hist = merged.histogram("worker.point_ms")
-        assert hist.count == 5
-        assert hist.hist == {5: 3, 9: 1, 30: 1}
-
-    def test_gauges_gain_worker_labels(self):
-        merged = MetricsRegistry()
-        merged.merge_snapshot(self.worker_registry([7]).snapshot(),
-                              worker="w1")
-        merged.merge_snapshot(self.worker_registry([11]).snapshot(),
-                              worker="w2")
-        gauge = merged.labeled_gauge("worker.last_point_ms")
-        assert gauge.get("w1") == 7.0
-        assert gauge.get("w2") == 11.0
-
-    def test_unlabeled_merge_is_last_write_wins(self):
-        merged = MetricsRegistry()
-        merged.merge_snapshot(self.worker_registry([7]).snapshot())
-        merged.merge_snapshot(self.worker_registry([11]).snapshot())
-        assert merged.gauge("worker.last_point_ms").value == 11.0
-
-    def test_labeled_gauges_merge_label_maps(self):
-        a = MetricsRegistry()
-        a.labeled_gauge("active").set(1, label="w1")
-        b = MetricsRegistry()
-        b.labeled_gauge("active").set(1, label="w2")
-        merged = MetricsRegistry()
-        merged.merge_snapshot(a.snapshot())
-        merged.merge_snapshot(b.snapshot())
-        assert merged.labeled_gauge("active").labels() == ["w1", "w2"]
-
-    def test_snapshot_round_trips_through_json(self):
-        reg = self.worker_registry([3, 4])
-        reg.labeled_gauge("active").set(1, label="w9")
-        restored = json.loads(json.dumps(reg.snapshot()))
-        merged = MetricsRegistry()
-        merged.merge_snapshot(restored, worker="w9")
-        assert merged.counter("worker.points").value == 2
-        assert merged.histogram("worker.point_ms").hist == {3: 1, 4: 1}
-
-
-# ----------------------------------------------------------------------
-# Spans: recorder, rollups, worker bundles
+# Spans: recorder, rollups, worker chunks
 # ----------------------------------------------------------------------
 
 
@@ -145,8 +58,8 @@ class TestSpanRecorder:
         rec = SpanRecorder(worker=42)
         with rec.span("engine.simulate", app="x264"):
             pass
-        assert len(rec) == 1
-        span = rec.export()[0]
+        assert len(rec.spans) == 1
+        span = rec.spans[0]
         assert span["name"] == "engine.simulate"
         assert span["worker"] == 42
         assert span["dur"] >= 0.0
@@ -157,7 +70,7 @@ class TestSpanRecorder:
         rec.add("a", 0.0, 1.0)
         rec.add("a", 2.0, 0.5)
         rec.add("b", 0.0, 0.25)
-        rollup = rollup_spans(rec.export())
+        rollup = rollup_spans(rec.spans)
         assert rollup["a"] == {"count": 2, "total_s": 1.5}
         assert rollup["b"]["count"] == 1
         assert list(rollup) == sorted(rollup)
@@ -169,25 +82,12 @@ class TestSpanRecorder:
 
 
 class TestWorkerTelemetry:
-    def test_snapshot_is_a_delta_per_bundle(self):
-        first = WorkerTelemetry()
-        first.point_done(10.0)
-        second = WorkerTelemetry()
-        second.point_done(20.0)
-        merged = MetricsRegistry()
-        for bundle in (first, second):
-            merged.merge_snapshot(bundle.export()["metrics"],
-                                  worker=f"w{bundle.pid}")
-        assert merged.counter("worker.points").value == 2
-        assert merged.counter("worker.chunks").value == 2
-
     def test_queue_wait_span_clamps_clock_races(self):
-        import time
-
-        ahead = WorkerTelemetry(submit_ts=time.monotonic() + 100.0)
-        span = ahead.recorder.export()[0]
+        payload = _simulate_chunk((), time.monotonic() + 100.0)
+        span = payload["spans"][0]
         assert span["name"] == "chunk.queue_wait"
         assert span["dur"] == 0.0
+        assert payload["pid"] == os.getpid() and payload["rows"] == []
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +104,7 @@ def run_cell(grid, workers, cache_dir=None, telemetry=None):
 
 
 class TestPureReader:
-    """Telemetry on == telemetry off, across workers/cache."""
+    """A collector passed == none passed, across workers/cache."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -222,12 +122,12 @@ class TestPureReader:
         cache = str(tmp_path / "cache")
         cold, cold_stats = run_cell(tiny_grid(), 2, cache_dir=cache,
                                     telemetry=SweepTelemetry())
-        warm_tel = SweepTelemetry()
         warm, warm_stats = run_cell(tiny_grid(), 2, cache_dir=cache,
-                                    telemetry=warm_tel)
+                                    telemetry=SweepTelemetry())
         assert cold.fingerprint() == warm.fingerprint() == baseline
         assert warm_stats.cache_hits == warm_stats.points
-        assert warm_tel.as_meta()["points"]["hit"] == warm_stats.points
+        meta = warm.meta["telemetry"]
+        assert meta["stats"]["cache_hits"] == warm_stats.points
 
     def test_fingerprint_never_hashes_meta(self, baseline):
         tel = SweepTelemetry()
@@ -239,7 +139,7 @@ class TestPureReader:
 
 class TestTelemetryCost:
     """Recording cost as a count: spans are per sweep and per point, so
-    telemetry work does not grow with the simulated window."""
+    recording work does not grow with the simulated window."""
 
     @pytest.mark.parametrize("workers, spans_per_point", [(1, 2), (2, 4)])
     def test_span_counts_do_not_scale_with_cycles(self, workers,
@@ -259,35 +159,35 @@ class TestTelemetryCost:
         assert sum(short.values()) == spans_per_point * points + 3
 
 
-class TestMergedMetrics:
-    def test_pool_counters_equal_serial_totals(self):
-        serial_tel = SweepTelemetry()
-        _sweep, serial_stats = run_cell(tiny_grid(), 1,
-                                        telemetry=serial_tel)
-        pool_tel = SweepTelemetry()
-        _sweep, pool_stats = run_cell(tiny_grid(), 2,
-                                      telemetry=pool_tel)
-        serial_points = serial_tel.registry.counter("worker.points").value
-        pool_points = pool_tel.registry.counter("worker.points").value
-        assert serial_points == pool_points == serial_stats.points
-        assert (serial_tel.registry.histogram("worker.point_ms").count
-                == pool_tel.registry.histogram("worker.point_ms").count)
+class TestSpansAndStats:
+    """Spans and ``SweepRunStats`` are the sweep's only records, and
+    they agree whatever the worker count."""
 
-    def test_workers_active_labeled_per_pid(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_span_counts_match_stats(self, workers):
         tel = SweepTelemetry()
-        _sweep, stats = run_cell(tiny_grid(), 2, telemetry=tel)
-        active = tel.registry.labeled_gauge("sweep.workers.active")
-        assert active.labels() == [f"w{pid}" for pid in tel.workers()]
-        assert len(active) >= 1
+        _sweep, stats = run_cell(tiny_grid(), workers, telemetry=tel)
+        rollups = tel.rollups()
+        assert rollups["engine.simulate"]["count"] == stats.simulated
+        assert stats.simulated == stats.points == len(SCHEMES)
+        assert rollups.get("chunk.run", {"count": 0})["count"] == \
+            stats.chunks
+        chunk_pids = {span["worker"] for span in tel.spans()
+                      if span["name"] == "chunk.run"}
+        if workers == 1:
+            assert tel.workers() == [os.getpid()] and not chunk_pids
+        else:
+            assert tel.workers() == sorted(chunk_pids)
+            assert os.getpid() not in chunk_pids
 
-    def test_meta_payload_shape(self):
+    def test_meta_carries_rollups_workers_and_stats(self):
         tel = SweepTelemetry()
         sweep, stats = run_cell(tiny_grid(), 1, telemetry=tel)
         meta = sweep.meta["telemetry"]
-        assert meta["points"]["total"] == meta["points"]["done"]
-        assert meta["points"]["sim"] == stats.simulated
-        assert "sweep.run" in meta["spans"]
-        assert meta["metrics"]["worker.points"]["value"] == stats.points
+        assert set(meta) == {"spans", "workers", "stats"}
+        assert meta["spans"] == tel.rollups()
+        assert meta["workers"] == [f"w{pid}" for pid in tel.workers()]
+        assert meta["stats"] == stats.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +233,22 @@ class TestChromeTrace:
         _slices, _tracks, errors = validate_chrome_trace(str(empty))
         assert any("no duration slices" in e for e in errors)
 
+    def test_validator_requires_a_track_per_slice(self, tmp_path):
+        untracked = tmp_path / "untracked.json"
+        untracked.write_text(json.dumps({
+            "traceEvents": [
+                {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+                 "args": {"name": "sweep parent"}},
+                {"name": "chunk.run", "ph": "X", "pid": 99, "tid": 0,
+                 "ts": 0, "dur": 1},
+            ],
+            "otherData": {"parent_pid": 1},
+        }))
+        slices, worker_tracks, errors = validate_chrome_trace(
+            str(untracked))
+        assert (slices, worker_tracks) == (1, 0)
+        assert errors == ["event 1: pid 99 has no process_name track"]
+
 
 # ----------------------------------------------------------------------
 # Live progress
@@ -347,80 +263,85 @@ class FakeClock:
         return self.t
 
 
+POINT = SweepPoint.build("x264", Scheme.SRAM_64TSB, 200, 80, 1, FAST)
+
+
 class TestProgress:
-    def renderer(self, mode="plain"):
+    def renderer(self, mode="plain", total=3):
         import io
 
         clock = FakeClock()
         out = io.StringIO()
-        renderer = ProgressRenderer(mode=mode, out=out, now=clock)
+        renderer = ProgressRenderer(SweepRunStats(points=total), mode=mode,
+                                    out=out, now=clock)
         return renderer, out, clock
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            ProgressRenderer(mode="fancy")
+            ProgressRenderer(SweepRunStats(), mode="fancy")
 
     def test_plain_prints_one_line_per_point(self):
-        renderer, out, clock = self.renderer("plain")
-        renderer.begin(total=3, workers=1)
-        for done in range(1, 4):
+        renderer, out, clock = self.renderer("plain", total=3)
+        for _ in range(3):
             clock.t += 1.0
-            renderer.on_point("x264/SRAM-64TSB", "sim", 1000.0, 71,
-                              done=done, total=3)
-        renderer.close()
+            renderer(POINT, "sim", 1000.0, 71)
         lines = out.getvalue().strip().splitlines()
         assert len(lines) == 3
-        assert "[3/3]" in lines[-1]
+        assert "[3/3]" in lines[-1] and "x264/SRAM-64TSB" in lines[-1]
 
     def test_rolling_rate_and_eta(self):
-        renderer, _out, clock = self.renderer("plain")
-        renderer.begin(total=10, workers=1)
-        for done in range(1, 5):
+        renderer, _out, clock = self.renderer("plain", total=10)
+        for _ in range(4):
             clock.t += 2.0
-            renderer.on_point("p", "sim", 2000.0, None,
-                              done=done, total=10)
+            renderer(POINT, "sim", 2000.0, None)
         assert renderer.points_per_sec() == pytest.approx(0.5)
         assert renderer.eta_seconds() == pytest.approx(12.0)
 
     def test_hits_excluded_from_rate(self):
-        renderer, _out, clock = self.renderer("plain")
-        renderer.begin(total=4, workers=1)
+        renderer, _out, clock = self.renderer("plain", total=4)
         clock.t += 1.0
-        renderer.on_point("p", "hit", 0.0, None, done=1, total=4)
+        renderer(POINT, "hit", 0.0, None)
         assert renderer.hits == 1
         assert not renderer._ticks
 
     def test_straggler_flagged_after_silence(self):
-        renderer, out, clock = self.renderer("rich")
-        renderer.begin(total=10, workers=2)
+        renderer, out, clock = self.renderer("rich", total=10)
         clock.t += 1.0
-        renderer.on_point("p", "sim", 500.0, 71, done=1, total=10)
+        renderer(POINT, "sim", 500.0, 71)
         clock.t += 0.1
-        renderer.on_point("p", "sim", 500.0, 72, done=2, total=10)
+        renderer(POINT, "sim", 500.0, 72)
         clock.t += 60.0
         stragglers = renderer.stragglers()
         assert 71 in stragglers and 72 in stragglers
-        renderer.on_point("p", "sim", 500.0, 72, done=3, total=10)
+        renderer(POINT, "sim", 500.0, 72)
         assert "STRAGGLER w71" in out.getvalue()
-        renderer.close()
 
     def test_no_stragglers_once_done(self):
-        renderer, _out, clock = self.renderer("rich")
-        renderer.begin(total=1, workers=1)
+        renderer, _out, clock = self.renderer("rich", total=1)
         clock.t += 1.0
-        renderer.on_point("p", "sim", 500.0, 71, done=1, total=1)
+        renderer(POINT, "sim", 500.0, 71)
         clock.t += 999.0
         assert renderer.stragglers() == {}
 
     def test_rich_renders_bar_and_roster(self):
-        renderer, out, clock = self.renderer("rich")
-        renderer.begin(total=2, workers=2)
+        renderer, out, clock = self.renderer("rich", total=2)
         clock.t += 1.0
-        renderer.on_point("p", "sim", 500.0, 71, done=1, total=2)
+        renderer(POINT, "sim", 500.0, 71)
         text = out.getvalue()
         assert "[" in text and "1/2" in text and "w71:1" in text
-        renderer.close()
+        assert not text.endswith("\n")
+        renderer(POINT, "sim", 500.0, 71)
         assert out.getvalue().endswith("\n")
+
+    def test_engine_sets_the_total_before_the_first_point(self):
+        import io
+
+        stats, out = SweepRunStats(), io.StringIO()
+        renderer = ProgressRenderer(stats, mode="plain", out=out)
+        run_sweep(tiny_grid(), renderer, workers=1, stats=stats)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == stats.points == len(SCHEMES)
+        assert lines[0].startswith(f"  [1/{stats.points}] sim")
 
 
 # ----------------------------------------------------------------------
@@ -452,3 +373,34 @@ class TestCLI:
         slices, _tracks, errors = validate_chrome_trace(trace)
         assert errors == [] and slices > 0
         assert "telemetry:" in capsys.readouterr().out
+
+    def test_telemetry_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--apps", "x264", "--telemetry"])
+        assert exc.value.code == 2
+        assert "--telemetry" in capsys.readouterr().err
+
+    def test_progress_never_changes_saved_output(self, tmp_path):
+        """``--progress`` is a live display and needs no collector, so
+        the saved file is byte-identical to a bare run's; only
+        ``--trace-out`` adds the span rollup to ``meta``."""
+        from repro.cli import main
+
+        sweep = ["sweep", "--apps", "x264", "--schemes", "SRAM-64TSB",
+                 "--workers", "1", "--no-cache", "--cycles", "200",
+                 "--warmup", "80", "--mesh-width", "4",
+                 "--capacity-scale", str(1 / 64)]
+        bare, shown, traced = (tmp_path / name for name in
+                               ("bare.json", "shown.json", "traced.json"))
+        assert main(sweep + ["--out", str(bare)]) == 0
+        assert main(sweep + ["--progress", "plain",
+                             "--out", str(shown)]) == 0
+        assert main(sweep + ["--trace-out", str(tmp_path / "trace.json"),
+                             "--out", str(traced)]) == 0
+        assert bare.read_bytes() == shown.read_bytes()
+        bare_doc = json.loads(bare.read_text())
+        traced_doc = json.loads(traced.read_text())
+        assert traced_doc["data"] == bare_doc["data"]
+        assert "telemetry" in traced_doc["meta"]
