@@ -17,8 +17,7 @@ APPS = ("tpcc", "sclust")
 
 def _requests_at_distances():
     sim = build_simulator(point(Scheme.STTRAM_4TSB, "tpcc"))
-    for _ in range(800):
-        sim.step()
+    sim.step(800)
     return {
         hops: average_requests_at_distance(sim, hops, samples=100,
                                            interval=5)

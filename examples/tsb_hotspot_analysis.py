@@ -23,11 +23,9 @@ def probe(app: str, placement: TSBPlacement):
         app, Scheme.STTRAM_4TSB_WB, 2000, 1000, 1,
         dict(mesh_width=8, capacity_scale=1 / 16, tsb_placement=placement))
     sim = build_simulator(point)
-    for _ in range(point.warmup):
-        sim.step()  # warm up before attaching the probe
-    link_probe = LinkUtilizationProbe(sim.network)
-    for _ in range(point.cycles):
-        sim.step()
+    sim.step(point.warmup)  # warm up before attaching the probe
+    link_probe = LinkUtilizationProbe(sim)
+    sim.step(point.cycles)
     return sim, link_probe
 
 

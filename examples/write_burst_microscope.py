@@ -55,8 +55,7 @@ def run(scheme: Scheme):
     send_read(idle_b, bank_block(idle_b, 100, n), 0)
     send_read(busy_bank, bank_block(busy_bank, 110, n), 0)
 
-    for _ in range(1200):
-        sim.step()
+    sim.step(1200)
     return sim, txns
 
 

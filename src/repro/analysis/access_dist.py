@@ -99,8 +99,7 @@ def average_requests_at_distance(sim, hops: int, samples: int = 200,
     total = 0.0
     observations = 0
     for _ in range(samples):
-        for _ in range(interval):
-            sim.step()
+        sim.step(interval)
         for router in sim.network.routers:
             if topo.layer_of(router.node) != 1 or router.n_resident == 0:
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.noc.topology import LOCAL, PORT_NAMES
+from repro.noc.topology import PORT_NAMES
 
 
 @dataclass
@@ -35,45 +35,43 @@ class LinkSample:
 
 
 class LinkUtilizationProbe:
-    """Counts flits forwarded per (node, out_port) while attached.
+    """Flits sent per directed link since the probe was created.
 
-    Wraps the network's forward path non-invasively::
+    Reads the network's monotonic per-link counters (``link_flits``,
+    indexed ``node << 3 | out_port``) against a snapshot taken at
+    creation, so the window is exactly the cycles advanced since::
 
-        probe = LinkUtilizationProbe(sim.network)
-        sim.run(2000, warmup=500)   # or manual stepping
+        probe = LinkUtilizationProbe(sim)
+        sim.run(2000)   # or sim.step(n)
         hot = probe.hottest(10)
     """
 
-    def __init__(self, network):
-        self.network = network
-        self.flit_counts: Dict[Tuple[int, int], int] = {}
-        self.cycles_observed = 0
-        self._original_forward = network._forward
-        network._forward = self._forward_hook
-        self._start_cycle = None
+    def __init__(self, sim):
+        self.sim = sim
+        self._base = list(sim.network.link_flits)
+        self._start_cycle = sim.cycle
 
-    def _forward_hook(self, router, downstream, out_port, entry, index, now):
-        if self._start_cycle is None:
-            self._start_cycle = now
-        pkt = entry[2]
-        key = (router.node, out_port)
-        self.flit_counts[key] = self.flit_counts.get(key, 0) + pkt.flits
-        self.cycles_observed = max(self.cycles_observed,
-                                   now - self._start_cycle + 1)
-        self._original_forward(router, downstream, out_port, entry, index, now)
+    @property
+    def cycles_observed(self) -> int:
+        return self.sim.cycle - self._start_cycle
 
-    def detach(self) -> None:
-        """Restore the unwrapped forward path."""
-        self.network._forward = self._original_forward
+    @property
+    def flit_counts(self) -> Dict[Tuple[int, int], int]:
+        """(node, out_port) -> flits, for every link that carried any."""
+        return {
+            (link >> 3, link & 7): flits - base
+            for link, (flits, base) in enumerate(
+                zip(self.sim.network.link_flits, self._base))
+            if flits != base
+        }
 
     # ------------------------------------------------------------------
 
-    def samples(self, include_local: bool = False) -> List[LinkSample]:
+    def samples(self) -> List[LinkSample]:
         cycles = max(1, self.cycles_observed)
         return [
             LinkSample(node=node, port=port, flits=flits, cycles=cycles)
             for (node, port), flits in self.flit_counts.items()
-            if include_local or port != LOCAL
         ]
 
     def hottest(self, n: int = 10) -> List[LinkSample]:

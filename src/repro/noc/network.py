@@ -13,7 +13,7 @@ its destination node.
 
 Active-set scheduling
 ---------------------
-``step`` normally runs the *active-set* route cycle: only routers in
+``step`` runs the *active-set* route cycle: only routers in
 ``_active_routers`` (maintained incrementally by injection/forwarding)
 whose ``next_active`` wake hint has come due are scanned, port by port
 in dense order.  Each scan recomputes the router's wake hint as a
@@ -34,8 +34,9 @@ other predicate re-arms the router for the next cycle.
 Cycles delayed-by-arbiter packets spend parked while their router sleeps
 are booked in ``_parked`` and flushed into the arbiter's per-cycle
 accrual (``accrue_parked``) on the next scan, keeping
-``delayed_cycle_sum`` bit-identical to the dense reference loop, which
-is preserved as ``_route_cycle_reference`` (``use_reference_loop``).
+``delayed_cycle_sum`` bit-identical to the dense reference loop,
+``_route_cycle_reference``, which :meth:`step_reference` runs for the
+simulator's dense oracle.
 
 ``next_event_cycle`` folds the router hints, source-NI heads and the
 estimator tick period into one lower bound the simulator uses for its
@@ -98,11 +99,8 @@ class Network:
         self.source_queues: List[deque] = [
             deque() for _ in range(topo.n_nodes)
         ]
-        self.sinks: Dict[int, Sink] = {}
-        #: optional per-node ejection flow control: node -> (pkt -> bool)
-        self.flow_control: Dict[int, Callable[[Packet], bool]] = {}
-        #: flat node-indexed views of ``sinks``/``flow_control`` (the
-        #: route loop does one list index instead of a dict probe)
+        #: per-node ejection sink and optional ejection flow control
+        #: (pkt -> bool), indexed by node
         self._sink_at: List[Optional[Sink]] = [None] * topo.n_nodes
         self._flow_at: List[Optional[Callable[[Packet], bool]]] = (
             [None] * topo.n_nodes
@@ -124,8 +122,7 @@ class Network:
             [n for n in row[:6] if n is not None]
             for row in self.neighbor_node
         ]
-        self._combiners: Dict[tuple, FlitCombiner] = {}
-        #: (node << 3 | port)-indexed view of ``_combiners``
+        #: flit combiner per link, indexed ``node << 3 | out_port``
         self._combiner_at: List[Optional[FlitCombiner]] = (
             [None] * (topo.n_nodes << 3)
         )
@@ -133,9 +130,12 @@ class Network:
                 config.region_tsb_width_factor > 1:
             for cache_node in routing.region_map.tsb_cache_nodes():
                 core_node = cache_node - topo.nodes_per_layer
-                combiner = FlitCombiner(config.region_tsb_width_factor)
-                self._combiners[(core_node, DOWN)] = combiner
-                self._combiner_at[(core_node << 3) | DOWN] = combiner
+                self._combiner_at[(core_node << 3) | DOWN] = FlitCombiner(
+                    config.region_tsb_width_factor)
+        #: flits sent over each inter-router link, indexed ``node << 3 |
+        #: out_port``; monotonic like ``packets_injected_total`` (LOCAL
+        #: ejections are not link traffic and are not counted)
+        self.link_flits: List[int] = [0] * (topo.n_nodes << 3)
         if estimator is not None:
             estimator.bind(self)
         if hasattr(arbiter, "bind"):
@@ -172,10 +172,6 @@ class Network:
         #: per port scan; parking snapshots them with ``tuple()``)
         self._scratch_cand: List[list] = []
         self._scratch_idx: List[int] = []
-        #: use the dense every-router/every-port reference loop instead of
-        #: the active-set loop (kept for equivalence testing and as the
-        #: perf baseline).
-        self.use_reference_loop = False
         #: invoked with the node id whenever a source NI queue pops at
         #: least one packet (NI-stalled cores re-register on this).
         self.on_source_drain: Optional[Callable[[int, int], None]] = None
@@ -198,10 +194,8 @@ class Network:
         only while a bank interface queue is full, and that the bank
         calls :meth:`on_bank_dequeue` whenever that queue pops.
         """
-        self.sinks[node] = sink
         self._sink_at[node] = sink
         if flow_control is not None:
-            self.flow_control[node] = flow_control
             self._flow_at[node] = flow_control
             self._bank_gated[node] = bank_queue
 
@@ -234,10 +228,15 @@ class Network:
 
     def step(self, now: int) -> None:
         self._inject_sources(now)
-        if self.use_reference_loop:
-            self._route_cycle_reference(now)
-        else:
-            self._route_cycle(now)
+        self._route_cycle(now)
+        if self._tick_period is not None and now % self._tick_period == 0:
+            self.estimator.tick(now)
+
+    def step_reference(self, now: int) -> None:
+        """:meth:`step` with the dense reference route loop: the network
+        half of the simulator's dense oracle cycle."""
+        self._inject_sources(now)
+        self._route_cycle_reference(now)
         if self._tick_period is not None and now % self._tick_period == 0:
             self.estimator.tick(now)
 
@@ -500,7 +499,7 @@ class Network:
                 candidates = []
                 cand_index = []
                 if out_port == LOCAL:
-                    accept = self.flow_control.get(node)
+                    accept = self._flow_at[node]
                     for i, e in enumerate(entries):
                         if e[2].ready_at <= now and (
                                 accept is None or accept(e[2])):
@@ -551,7 +550,8 @@ class Network:
                     up.next_active = t
 
         trace = self.trace
-        combiner = self._combiner_at[(node << 3) | out_port]
+        link = (node << 3) | out_port
+        combiner = self._combiner_at[link]
         if combiner is not None:
             before = combiner.packets_combined
             serialization = combiner.serialization_cycles(pkt)
@@ -590,6 +590,7 @@ class Network:
         stats = self.stats
         stats.link_traversals += 1
         stats.flits_forwarded += pkt.flits
+        self.link_flits[link] += pkt.flits
         if trace is not None:
             trace(now, EV_PKT_FORWARD, {
                 "pid": pkt.pid, "klass": pkt.klass.name,

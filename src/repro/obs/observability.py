@@ -15,13 +15,12 @@ Responsibilities:
 * keep the :class:`~repro.obs.metrics.MetricsRegistry` live (packet
   counters, per-class latency histograms, bank/arbiter/estimator
   counters),
-* account per-region TSB link flits (consumed by the epoch sampler),
 * drive the :class:`~repro.obs.sampler.EpochSampler`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.obs.events import (
     EV_ARB_REORDER, EV_BANK_START, EV_EST_PREDICT, EV_EST_UPDATE,
@@ -45,9 +44,6 @@ class Observability:
         self.registry = MetricsRegistry()
         self.sampler = EpochSampler(epoch)
         self.sinks: List = []
-        #: region index -> cumulative flits carried by that region's TSB
-        self.tsb_flits: Dict[int, int] = {}
-        self._tsb_port_region: Dict[Tuple[int, int], int] = {}
         self._sim = None
         self._handlers = {
             EV_PKT_INJECT: self._on_inject,
@@ -84,14 +80,7 @@ class Observability:
             sim.estimator.trace = self.emit
         for bank in sim.banks:
             bank.trace = self.emit
-        if sim.region_map is not None:
-            from repro.noc.topology import DOWN
-
-            for region in sim.region_map.regions:
-                self._tsb_port_region[(region.tsb_core_node, DOWN)] = \
-                    region.index
-                self.tsb_flits.setdefault(region.index, 0)
-        self.sampler.bind(sim, self)
+        self.sampler.bind(sim)
 
     def detach(self) -> None:
         """Remove every trace hook; the simulator runs dark again."""
@@ -133,9 +122,6 @@ class Observability:
 
     def _on_forward(self, data: Dict) -> None:
         self.registry.counter("net.forwards").inc()
-        region = self._tsb_port_region.get((data["node"], data["port"]))
-        if region is not None:
-            self.tsb_flits[region] += data["flits"]
 
     def _on_deliver(self, data: Dict) -> None:
         self.registry.counter("net.delivered").inc()

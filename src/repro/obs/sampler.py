@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.noc.topology import DOWN
 from repro.obs.accuracy import AccuracySummary
 
 
@@ -76,7 +77,6 @@ class EpochSampler:
         self.epoch = epoch
         self.samples: List[EpochSample] = []
         self._sim = None
-        self._obs = None
         self._last = 0
         self._next = 0
         self._executed = 0
@@ -85,13 +85,20 @@ class EpochSampler:
         self._prediction_ptr = 0
         self._pending_predictions: List = []
         self._accuracy: Optional[AccuracySummary] = None
-        self._tsb_base: Dict[int, int] = {}
+        #: each region's TSB DOWN link (``Network.link_flits`` index) as
+        #: bound, or None without regions; and its count at the last
+        #: sample
+        self._tsb_links: Optional[List[int]] = None
+        self._tsb_base: List[int] = []
 
     # ------------------------------------------------------------------
 
-    def bind(self, sim, obs) -> None:
+    def bind(self, sim) -> None:
         self._sim = sim
-        self._obs = obs
+        regions = sim.region_map
+        self._tsb_links = None if regions is None else [
+            (region.tsb_core_node << 3) | DOWN for region in regions.regions
+        ]
         self.reset(sim.cycle)
 
     def reset(self, now: int) -> None:
@@ -108,7 +115,9 @@ class EpochSampler:
             self._accuracy = AccuracySummary(sim.estimator.name)
         else:
             self._accuracy = None
-        self._tsb_base = dict(self._obs.tsb_flits)
+        if self._tsb_links is not None:
+            flits = sim.network.link_flits
+            self._tsb_base = [flits[link] for link in self._tsb_links]
 
     # ------------------------------------------------------------------
 
@@ -136,13 +145,13 @@ class EpochSampler:
         busy_frac = self._bank_busy_fractions(now, span)
 
         tsb: Optional[List[float]] = None
-        if sim.region_map is not None:
-            flits = self._obs.tsb_flits
+        if self._tsb_links is not None:
+            flits = net.link_flits
             base = self._tsb_base
             tsb = []
-            for region in range(len(sim.region_map.regions)):
-                total = flits.get(region, 0)
-                tsb.append((total - base.get(region, 0)) / span)
+            for region, link in enumerate(self._tsb_links):
+                total = flits[link]
+                tsb.append((total - base[region]) / span)
                 base[region] = total
         accuracy = self._resolve_accuracy(now)
 

@@ -77,8 +77,6 @@ class CMPSimulator:
         self.network = Network(
             config, self.topo, self.routing, self.arbiter, self.estimator,
         )
-        if scheduler == "dense":
-            self.network.use_reference_loop = True
 
         n = config.n_cores
 
@@ -101,7 +99,7 @@ class CMPSimulator:
         #: the true minimum, recomputed exactly whenever it comes due
         self._min_wake = NEVER
         #: diagnostic: cycles actually executed (vs skipped) by the
-        #: event scheduler; equals ``self.cycle`` advancement in dense.
+        #: event scheduler; stays 0 under the dense oracle.
         self.executed_cycles = 0
         self._core_at_node = {
             self.topo.core_node(i): i for i in range(n)
@@ -345,7 +343,20 @@ class CMPSimulator:
     # Simulation loop
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
+    def step(self, cycles: int = 1) -> None:
+        """Advance ``cycles`` cycles on this simulator's schedule.
+
+        ``_run_event`` under ``scheduler="event"``, the dense oracle's
+        cycle under ``"dense"``; ``run`` and ``drain`` advance the same
+        way, so stepping, running and draining mix freely.
+        """
+        if self.scheduler == "event":
+            self._run_event(cycles)
+            return
+        for _ in range(cycles):
+            self._step_dense()
+
+    def _step_dense(self) -> None:
         """Advance every component one cycle (dense semantics).
 
         This is the reference schedule; the event-driven path below
@@ -359,7 +370,7 @@ class CMPSimulator:
         faults = self.fault_plane
         if faults is not None:
             faults.on_cycle(now)
-        self.network.step(now)
+        self.network.step_reference(now)
         for mc in self.mcs:
             mc.step(now)
         for bank in self.banks:
@@ -416,9 +427,10 @@ class CMPSimulator:
     def _flush_lazy(self) -> None:
         """Accrue all lazily-deferred counters up to ``self.cycle``.
 
-        Called at warm-up/measurement/run boundaries so sleeping cores'
-        commit/stall counters and parked packets' delay accrual match
-        the dense schedule exactly at the observation point.
+        Called as every ``_run_event`` returns, so at each point a
+        caller can observe (a ``step``, ``run`` or ``drain`` boundary)
+        sleeping cores' commit/stall counters and parked packets' delay
+        accrual match the dense schedule exactly.
         """
         boundary = self.cycle
         slept = self._core_slept
@@ -599,32 +611,11 @@ class CMPSimulator:
         Warm-up cycles populate caches and network state; statistics are
         measured over the following ``cycles`` cycles.
         """
-        if self.scheduler == "event":
-            self._run_event(warmup)
-            committed_at_start = [c.stats.committed for c in self.cores]
-            start_cycle = self.cycle
-            self._reset_measurement_stats()
-            self._run_event(cycles)
-            if self.guard is not None:
-                self.guard.on_run_end(self.cycle)
-            if self._obs is not None:
-                self._obs.on_run_end(self)
-            return SimulationResult.collect(
-                self, start_cycle, committed_at_start,
-            )
-        for _ in range(warmup):
-            self.step()
-        self._flush_lazy()
+        self.step(warmup)
         committed_at_start = [c.stats.committed for c in self.cores]
         start_cycle = self.cycle
         self._reset_measurement_stats()
-        for _ in range(cycles):
-            self.step()
-        # No-op under the pure dense schedule (no sleeping cores, no
-        # parked entries), but it lets the active-set route loop run
-        # under dense stepping (use_reference_loop=False) with its
-        # parked-delay accrual flushed at the same boundary.
-        self._flush_lazy()
+        self.step(cycles)
         if self.guard is not None:
             self.guard.on_run_end(self.cycle)
         if self._obs is not None:
@@ -662,22 +653,16 @@ class CMPSimulator:
         if self.scheduler == "event":
             return self._run_event(max_cycles, drain_after=min_cycles)
         for cycle in range(max_cycles):
-            self.step()
-            if cycle < min_cycles:
-                continue
-            if (
-                self.network.quiesced()
-                and all(b.idle(self.cycle) for b in self.banks)
-                and all(mc.idle() for mc in self.mcs)
-                and all(c.quiesced() for c in self.cores)
-            ):
+            self._step_dense()
+            if cycle >= min_cycles and self._quiesced(self.cycle):
                 return True
         return False
 
     def _quiesced(self, now: int) -> bool:
         if not self.network.quiesced():
             return False
-        # Deactivated banks/MCs are idle by construction.
+        # Deactivated banks/MCs are idle by construction (the dense
+        # oracle deactivates none; an MC never sent a packet is idle).
         return (
             all(self.banks[b].idle(now) for b in self._active_banks)
             and all(self.mcs[i].idle() for i in self._active_mcs)

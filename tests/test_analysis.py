@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis.access_dist import (
-    FIG3_BINS, access_distribution, distribution_for_app,
+    FIG3_BINS, access_distribution, average_requests_at_distance,
+    distribution_for_app,
 )
 from repro.analysis.breakdown import (
     LatencyBreakdown, normalized_breakdowns,
@@ -12,7 +13,7 @@ from repro.analysis.tables import (
     format_histogram, format_table, normalized_series,
 )
 from repro.sim.config import Scheme
-from repro.sim.parallel import SweepPoint
+from repro.sim.parallel import SweepPoint, build_simulator
 
 
 class TestAccessDistribution:
@@ -67,6 +68,23 @@ class TestAccessDistribution:
         bursty = distribution_for_app(point("tpcc"))
         calm = distribution_for_app(point("mcf"))
         assert bursty.queued_fraction() > calm.queued_fraction()
+
+
+class TestRequestsAtDistance:
+    def test_sampling_after_a_run_matches_the_dense_oracle(self):
+        """Figure 3 samples router contents right after ``run``: the
+        sampled traffic must be the oracle's on the event schedule."""
+        point = SweepPoint.build(
+            "tpcc", Scheme.STTRAM_64TSB, 600, 200, 1,
+            {"mesh_width": 4, "capacity_scale": 1 / 64})
+        values = []
+        for scheduler in ("dense", "event"):
+            sim = build_simulator(point, scheduler=scheduler)
+            sim.run(point.cycles, warmup=point.warmup)
+            values.append(average_requests_at_distance(
+                sim, hops=2, samples=40, interval=5))
+        assert values[0] > 0
+        assert values[1] == values[0]
 
 
 class TestBreakdown:

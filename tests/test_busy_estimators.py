@@ -133,8 +133,7 @@ class TestRCA:
         parent = rm.parent_nodes()[0]
         child = rm.children_of[parent][0]
         idle_estimate = est.congestion_estimate(parent, child, now=0)
-        for _ in range(400):
-            sim.step()
+        sim.step(400)
         loaded = max(
             est.congestion_estimate(p, c, now=sim.cycle)
             for p in rm.parent_nodes() for c in rm.children_of[p]

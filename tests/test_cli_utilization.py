@@ -74,9 +74,8 @@ class TestUtilizationProbe:
     def _probed_sim(self, scheme):
         cfg = make_config(scheme, mesh_width=4, capacity_scale=1 / 64)
         sim = CMPSimulator(cfg, homogeneous("tpcc", cfg))
-        probe = LinkUtilizationProbe(sim.network)
-        for _ in range(600):
-            sim.step()
+        probe = LinkUtilizationProbe(sim)
+        sim.step(600)
         return sim, probe
 
     def test_counts_flits(self):
@@ -106,15 +105,19 @@ class TestUtilizationProbe:
         assert probe4.hottest(1)[0].utilization \
             >= 0.9 * probe64.hottest(1)[0].utilization
 
-    def test_detach_restores_forward(self):
+    def test_window_matches_the_run_it_observes(self):
+        """A probe created mid-run counts exactly the window after it:
+        every flit sent over a link (ejections are not link traffic)
+        and every cycle advanced."""
         cfg = make_config(Scheme.STTRAM_64TSB, mesh_width=4,
                           capacity_scale=1 / 64)
-        sim = CMPSimulator(cfg, homogeneous("x264", cfg))
-        original = sim.network._forward
-        probe = LinkUtilizationProbe(sim.network)
-        assert sim.network._forward != original
-        probe.detach()
-        assert sim.network._forward == original
+        sim = CMPSimulator(cfg, homogeneous("tpcc", cfg, seed=1))
+        sim.step(300)
+        probe = LinkUtilizationProbe(sim)
+        result = sim.run(600)
+        assert result.flits_forwarded > 0
+        assert sum(probe.flit_counts.values()) == result.flits_forwarded
+        assert probe.cycles_observed == result.cycles == 600
 
     def test_labels_and_layer_average(self):
         sim, probe = self._probed_sim(Scheme.STTRAM_64TSB)

@@ -24,8 +24,7 @@ def run_sim(scheme, app="tpcc", cycles=900, **overrides):
     params.update(overrides)
     cfg = make_config(scheme, **params)
     sim = CMPSimulator(cfg, homogeneous(app, cfg))
-    for _ in range(cycles):
-        sim.step()
+    sim.step(cycles)
     return sim
 
 

@@ -172,9 +172,10 @@ def _deadlocked_sim(scheduler):
     sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),
                        scheduler=scheduler, guard=guard)
     reject = lambda pkt: False
-    for node in list(sim.network.flow_control):
-        sim.network.flow_control[node] = reject
-        sim.network._flow_at[node] = reject
+    flow_at = sim.network._flow_at
+    for node, accept in enumerate(flow_at):
+        if accept is not None:
+            flow_at[node] = reject
     return sim
 
 

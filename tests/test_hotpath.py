@@ -5,9 +5,9 @@ arrays, entry-list pooling, precomputed routing tables, per-node arbiter
 dispatch, and the active-set route loop -- must be observationally
 invisible.  These tests pin that down three ways:
 
-* a fingerprint matrix: four benchmark schemes x {dense, event}
-  scheduler x {optimized, reference} route loop must produce the same
-  ``SimulationResult`` bit for bit,
+* a fingerprint matrix: four benchmark schemes under the dense oracle
+  (reference route loop) and the event scheduler (active-set route
+  loop) must produce the same ``SimulationResult`` bit for bit,
 * identity-based entry removal (``Router.remove_entry`` must never
   remove a merely value-equal sibling entry; pooled entry lists make
   value equality meaningless),
@@ -36,43 +36,29 @@ SCHEMES = [
     Scheme.STTRAM_4TSB_WB,
 ]
 
-#: (scheduler, use_reference_loop) datapath combinations.
-DATAPATHS = [
-    ("dense", True),
-    ("dense", False),
-    ("event", True),
-    ("event", False),
-]
-
-
-def _fingerprint(scheme, scheduler, use_reference_loop,
-                 cycles=400, warmup=100):
+def _fingerprint(scheme, scheduler, cycles=400, warmup=100):
     reset_packet_ids()
     cfg = small_config(scheme)
     sim = CMPSimulator(
         cfg, homogeneous("sclust", cfg, seed=5), scheduler=scheduler)
-    sim.network.use_reference_loop = use_reference_loop
     return sim.run(cycles, warmup=warmup)
 
 
 class TestFingerprintIdentity:
-    """Every datapath combination must agree with the authoritative
-    dense + reference-loop run, field for field."""
+    """The production datapath must agree with the authoritative dense
+    oracle, field for field."""
 
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
     def test_all_datapaths_byte_identical(self, scheme):
-        base = _fingerprint(scheme, "dense", True)
+        base = _fingerprint(scheme, "dense")
         assert base.packets_delivered > 0  # non-vacuous comparison
-        for scheduler, reference in DATAPATHS[1:]:
-            result = _fingerprint(scheme, scheduler, reference)
-            diffs = [
-                key for key in base.__dict__
-                if base.__dict__[key] != result.__dict__[key]
-            ]
-            assert not diffs, (
-                f"{scheme.value}: SimulationResult drift in {diffs} "
-                f"(scheduler={scheduler}, reference={reference})"
-            )
+        result = _fingerprint(scheme, "event")
+        diffs = [
+            key for key in base.__dict__
+            if base.__dict__[key] != result.__dict__[key]
+        ]
+        assert not diffs, (
+            f"{scheme.value}: SimulationResult drift in {diffs}")
 
 
 def _mk_pkt(src=0, dst=1, flits=1):

@@ -212,6 +212,48 @@ class TestSchedulerEquivalence:
             lambda c: mix(apps, c, seed=685), cycles=400, warmup=0,
             faults=FaultConfig(seed=685, tsb_failures=((3, 268),)))
 
+    @pytest.mark.parametrize("app", ["gcc", "tpcc"])
+    def test_step_between_runs(self, app):
+        """``step`` advances on the simulator's own schedule, so a run,
+        stepped cycles and a second run read as on the dense oracle (a
+        cycle stepped outside the event schedule would be replayed
+        when a sleeping core wakes)."""
+        cfg = small_config(Scheme.STTRAM_4TSB_WB)
+        sims, results = [], []
+        for scheduler in ("dense", "event"):
+            reset_packet_ids()
+            sim = CMPSimulator(cfg, homogeneous(app, cfg, seed=3),
+                               scheduler=scheduler)
+            sim.run(300, warmup=100)
+            sim.step(200)
+            results.append(sim.run(300))
+            sims.append(sim)
+        _assert_fields_equal(*sims)
+        assert results[0].__dict__ == results[1].__dict__
+        assert results[1].packets_delivered > 0
+
+    @pytest.mark.parametrize("is_write", [False, True],
+                             ids=["load", "store"])
+    def test_drain_stops_on_the_same_cycle(self, is_write):
+        """Both ``drain`` paths stop at the first quiescent cycle."""
+        cfg = small_config(Scheme.STTRAM_4TSB_WB)
+        block = bank_block(10, 3, cfg.n_banks)
+
+        def make_workload(config):
+            streams = [ScriptedStream([(0, block, is_write)])]
+            streams += [IdleStream() for _ in range(config.n_cores - 1)]
+            return Workload(streams, ["s"] * config.n_cores, "s")
+
+        sims = []
+        for scheduler in ("dense", "event"):
+            reset_packet_ids()
+            sim = CMPSimulator(cfg, make_workload(cfg), scheduler=scheduler,
+                               prewarm=False)
+            assert sim.drain(max_cycles=5_000)
+            sims.append(sim)
+        assert sims[0].cycle == sims[1].cycle
+        _assert_fields_equal(*sims)
+
     def test_event_scheduler_skips_cycles_on_idle_workload(self):
         """The fast path actually engages: fewer executed than simulated
         cycles on a workload with long compute gaps."""

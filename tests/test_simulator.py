@@ -18,11 +18,19 @@ def scripted_workload(config, accesses_for_core0):
 
 
 class TestEndToEnd:
+    """Scripted round trips, each advanced by ``drain`` on the event
+    scheduler (``TestEndToEndDense`` repeats them on the dense oracle)."""
+
+    scheduler = "event"
+
+    def sim(self, cfg, wl):
+        return CMPSimulator(cfg, wl, prewarm=False, scheduler=self.scheduler)
+
     def test_single_load_round_trip(self):
         cfg = small_config(Scheme.STTRAM_64TSB)
         block = bank_block(3, 5, cfg.n_banks)
         wl = scripted_workload(cfg, [(0, block, False)])
-        sim = CMPSimulator(cfg, wl, prewarm=False)
+        sim = self.sim(cfg, wl)
         assert sim.drain(max_cycles=5_000)
         core = sim.cores[0]
         assert core.stats.l1_misses == 1
@@ -35,7 +43,7 @@ class TestEndToEnd:
         cfg = small_config(Scheme.STTRAM_64TSB)
         block = bank_block(3, 5, cfg.n_banks)
         wl = scripted_workload(cfg, [(0, block, False)])
-        sim = CMPSimulator(cfg, wl, prewarm=False)
+        sim = self.sim(cfg, wl)
         sim.banks[3].array.fill(block)
         assert sim.drain(max_cycles=5_000)
         assert sim.cores[0].stats.average_miss_latency() < 100
@@ -45,7 +53,7 @@ class TestEndToEnd:
         cfg = small_config(Scheme.STTRAM_64TSB)
         block = bank_block(7, 9, cfg.n_banks)
         wl = scripted_workload(cfg, [(0, block, True)])
-        sim = CMPSimulator(cfg, wl, prewarm=False)
+        sim = self.sim(cfg, wl)
         assert sim.drain(max_cycles=5_000)
         bank = sim.banks[7]
         assert bank.stats.writes == 1
@@ -53,23 +61,20 @@ class TestEndToEnd:
 
     def test_region_restricted_request_traverses_tsb(self):
         cfg = small_config(Scheme.STTRAM_4TSB)
-        assert sim_region_hit(cfg)
+        block = bank_block(10, 3, cfg.n_banks)
+        sim = self.sim(cfg, scripted_workload(cfg, [(0, block, False)]))
+        sim.drain(max_cycles=5_000)
+        assert sim.banks[10].stats.reads == 1
 
     def test_drain_reports_completion(self):
         cfg = small_config(Scheme.STTRAM_64TSB)
         wl = scripted_workload(cfg, [])
-        sim = CMPSimulator(cfg, wl, prewarm=False)
+        sim = self.sim(cfg, wl)
         assert sim.drain(max_cycles=100)
 
 
-def sim_region_hit(cfg):
-    block = bank_block(10, 3, cfg.n_banks)
-    wl_streams = [ScriptedStream([(0, block, False)])]
-    wl_streams += [IdleStream() for _ in range(cfg.n_cores - 1)]
-    wl = Workload(wl_streams, ["s"] * cfg.n_cores, "s")
-    sim = CMPSimulator(cfg, wl, prewarm=False)
-    sim.drain(max_cycles=5_000)
-    return sim.banks[10].stats.reads == 1
+class TestEndToEndDense(TestEndToEnd):
+    scheduler = "dense"
 
 
 class TestDeterminism:
