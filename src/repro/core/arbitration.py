@@ -30,32 +30,26 @@ class RoundRobinArbiter:
 
     name = "rr"
 
-    #: True when the network must invoke :meth:`on_forward` per packet
-    #: (plain RR has no forward hook, so the network skips the call).
-    needs_forward_hook = False
-
     def __init__(self):
         #: (node << 3 | out_port) -> rotation pointer
         self._pointers = {}
         self.network = None
         #: observability emit callable; None when tracing is detached
         self.trace = None
+        #: node-indexed forward hook, or None where a forward needs none
+        #: (everywhere, for plain RR).  Rebound in place: the network
+        #: captures this list once, at construction.
+        self.forward_hook_at: List = []
 
     def bind(self, network) -> None:
-        """Give the arbiter access to live router state."""
+        """Give the arbiter access to live router state and publish its
+        node-indexed dispatch tables, ``choose_at`` and
+        ``forward_hook_at``, which the route loop and ``_forward``
+        index once per decision."""
         self.network = network
-        #: node-indexed choose dispatch table; subclasses that specialise
-        #: per node (bank-aware parents vs plain RR elsewhere) override
-        #: rows so the route loop skips the delegation chain entirely.
-        #: None for topology-less stand-ins (unit-test fakes).
-        topo = getattr(network, "topo", None)
-        self.choose_at = (
-            None if topo is None else [self.choose] * topo.n_nodes
-        )
-
-    def on_forward(self, node: int, pkt: Packet, now: int,
-                   out_port: int) -> None:
-        """Hook invoked for every forwarded packet (no-op for RR)."""
+        n_nodes = network.topo.n_nodes
+        self.choose_at = [self.choose] * n_nodes
+        self.forward_hook_at[:] = [None] * n_nodes
 
     def choose(self, node: int, out_port: int, entries: List[list],
                now: int) -> Optional[int]:
@@ -91,20 +85,6 @@ class RoundRobinArbiter:
         ) % 4096
         return winner
 
-    # -- event-driven scheduling hooks ---------------------------------
-
-    def release_hint(self, node: int, out_port: int, entries: List[list],
-                     now: int) -> int:
-        """Earliest cycle a ``choose`` that returned None could pick a
-        winner, assuming no further activity at the router.  RR never
-        returns None for a non-empty pool, so the conservative bound is
-        the next cycle."""
-        return now + 1
-
-    def accrue_parked(self, entries, cycles: int) -> None:
-        """Book ``cycles`` of per-cycle delay accrual for entries parked
-        while their router slept (no-op for plain round-robin)."""
-
 
 class BankAwareArbiter(RoundRobinArbiter):
     """STT-RAM-aware packet re-ordering at parent routers (Section 3.2).
@@ -121,8 +101,6 @@ class BankAwareArbiter(RoundRobinArbiter):
 
     name = "bank-aware"
 
-    needs_forward_hook = True
-
     def __init__(
         self,
         config: SystemConfig,
@@ -135,7 +113,6 @@ class BankAwareArbiter(RoundRobinArbiter):
         self.region_map = region_map
         self.tracker = tracker
         self.estimator = estimator
-        self.hop_distance = config.parent_hop_distance
         self.max_delay = config.max_delay_cycles
         #: instrumentation
         self.packets_delayed = 0
@@ -169,11 +146,21 @@ class BankAwareArbiter(RoundRobinArbiter):
 
     def on_forward(self, node: int, pkt: Packet, now: int,
                    out_port: int) -> None:
-        """Charge the busy tracker and let the estimator tag packets.
+        """Charge the child bank's busy counter and let the estimator tag
+        packets.
 
-        The body of :meth:`BankBusyTracker.charge` is inlined (with the
-        precomputed per-bank travel time) -- this runs once per forwarded
-        managed request and must stay exactly equivalent to it.
+        The parent keeps one busy counter per child (Section 3.5): it is
+        re-armed for the most recently forwarded request and does not
+        accumulate a virtual queue -- under a sustained write stream the
+        parent would otherwise predict the bank busy arbitrarily far
+        into the future and degenerate into delaying everything.
+
+        Each charge logs ``(bank, predicted arrival, predicted busy)``
+        in ``tracker.predictions``: the state *before* the charge, i.e.
+        the prediction the arbiter acted on when it released this
+        packet.  Forwards happen identically under both schedulers
+        (``choose`` calls do not: the event scheduler accrues parked
+        cycles in bulk), so the log is recorded here.
         """
         bank = pkt.bank
         if pkt.klass is not PacketClass.REQUEST or bank is None:
@@ -201,30 +188,14 @@ class BankAwareArbiter(RoundRobinArbiter):
 
     def bind(self, network) -> None:
         super().bind(network)
-        if self.choose_at is None:
-            return
-        # Parent nodes take the bank-aware path; every other node is
-        # plain round-robin, dispatched without the per-call delegation.
+        # Parent nodes take the bank-aware path and charge the busy
+        # tracker on forward; every other node is plain round-robin,
+        # dispatched without the per-call delegation, and has no hook.
         rr_choose = RoundRobinArbiter.choose.__get__(self)
-        for node in range(len(self.choose_at)):
-            if node in self._children:
-                self.choose_at[node] = self._choose_parent
-            else:
-                self.choose_at[node] = rr_choose
-        #: node-indexed forward hook: only parent nodes charge the busy
-        #: tracker, every other node's hook is a no-op the network skips.
-        #: Mutated in place on rebind: the network captured this exact
-        #: list at construction, and ``refresh_topology`` (TSB-failure
-        #: remap) must update it through that alias.
-        hooks = [
-            self.on_forward if node in self._children else None
-            for node in range(len(self.choose_at))
-        ]
-        existing = getattr(self, "forward_hook_at", None)
-        if existing is None:
-            self.forward_hook_at = hooks
-        else:
-            existing[:] = hooks
+        choose_at = self.choose_at = [rr_choose] * len(self.choose_at)
+        for node in self._children:
+            choose_at[node] = self._choose_parent
+            self.forward_hook_at[node] = self.on_forward
 
     def refresh_topology(self) -> None:
         """Rebuild parent/child state after a region-map change.
@@ -294,9 +265,9 @@ class BankAwareArbiter(RoundRobinArbiter):
                 and bank in children
                 and now - entry[ENTRY_ARRIVAL] < max_delay
             ):
-                # Inline of tracker.predicted_busy with the precomputed
-                # travel time; the estimate is only needed (and the
-                # estimator call only paid) once the bank looks busy.
+                # Delayed while it would reach the bank before the
+                # predicted free cycle; the estimate is only needed (and
+                # the estimator call only paid) once the bank looks busy.
                 free_at = busy_get(bank, 0)
                 if free_at > now and (
                     now + travel[bank] + estimate(node, bank, now) < free_at
@@ -381,15 +352,12 @@ class BankAwareArbiter(RoundRobinArbiter):
 
         Each candidate is released at the earlier of its starvation-valve
         expiry (``arrival + max_delay``) and the first cycle the bank
-        busy prediction clears (``free_at - travel - estimate``).  Both
-        only move *earlier* through events that poke the router (a WB
-        ack, a new charge happens on a scan), so the minimum is a safe
-        wake bound -- but only while the congestion estimates themselves
-        are event-stable; RCA drifts on its own clock, so fall back to
-        dense re-scanning under it.
+        busy prediction clears (``free_at - travel - estimate``).
+        ``busy_until`` only grows, which moves a release later, and the
+        estimate only changes at events that re-arm the router: a WB ack
+        pokes it, and the network re-derives this hint for every parked
+        port after each RCA tick.  So the minimum is a safe wake bound.
         """
-        if not self.estimator.estimates_stable:
-            return now + 1
         tracker = self.tracker
         estimator = self.estimator
         travel = self._travel

@@ -5,14 +5,16 @@ bank.  When it forwards a request to a child it charges the bank for the
 travel time (``4`` cycles base for a two-hop path, plus the congestion
 estimate supplied by the active estimation scheme) and the bank service
 time (33-cycle writes dominate).  Subsequent requests to the same child
-are predicted to find the bank busy until the counter expires.
+are predicted to find the bank busy until the counter expires.  The
+bank-aware arbiter makes both decisions on this table:
+``BankAwareArbiter.on_forward`` charges it and ``choose`` predicts from
+it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.noc.packet import Packet
 from repro.sim.config import SystemConfig
 
 
@@ -34,11 +36,8 @@ class BankBusyTracker:
         self.delays_predicted = 0
         #: Always-on prediction log consumed by the accuracy analysis:
         #: one ``(bank, predicted arrival cycle, predicted busy)`` row per
-        #: forwarded managed request.  Recorded here (not in
-        #: ``predicted_busy``) because ``charge`` runs exactly once per
-        #: forward under both the dense and event schedulers, whereas
-        #: ``predicted_busy`` call counts differ (the event scheduler
-        #: bulk-compensates parked cycles).
+        #: forwarded managed request, appended by
+        #: ``BankAwareArbiter.on_forward``.
         self.predictions: List[Tuple[int, int, bool]] = []
 
     def travel_cycles(self, hops: int) -> int:
@@ -51,45 +50,6 @@ class BankBusyTracker:
             return 0
         # hops-1 intermediate routers, each a full pipeline, plus links.
         return (hops - 1) * (self.hop_cycles - 1) + hops
-
-    def charge(self, pkt: Packet, now: int, hops: int,
-               congestion_estimate: int) -> Tuple[int, bool]:
-        """Account for a request just forwarded toward its child bank.
-
-        The hardware keeps one busy-bit and one counter per child
-        (Section 3.5): the counter is re-armed for the most recently
-        forwarded request, it does not accumulate a virtual queue --
-        under a sustained write stream the parent would otherwise
-        predict the bank busy arbitrarily far into the future and
-        degenerate into delaying everything.
-
-        Returns ``(predicted arrival cycle, predicted busy at arrival)``
-        -- the state *before* this charge, i.e. the prediction the
-        arbiter acted on when it released this packet.
-        """
-        bank = pkt.bank
-        if bank is None:
-            return now, False
-        arrival = now + self.travel_cycles(hops) + congestion_estimate
-        predicted = arrival < self.busy_until.get(bank, 0)
-        self.predictions.append((bank, arrival, predicted))
-        service = self.write_cycles if pkt.is_write else self.read_cycles
-        free_at = arrival + service
-        if free_at > self.busy_until.get(bank, 0):
-            self.busy_until[bank] = free_at
-        return arrival, predicted
-
-    def predicted_busy(self, bank: int, now: int, hops: int,
-                       congestion_estimate: int) -> bool:
-        """Would a request forwarded now arrive before the bank is free?"""
-        free_at = self.busy_until.get(bank, 0)
-        if free_at <= now:
-            return False
-        arrival = now + self.travel_cycles(hops) + congestion_estimate
-        busy = arrival < free_at
-        if busy:
-            self.delays_predicted += 1
-        return busy
 
     def predicted_free_at(self, bank: int) -> int:
         return self.busy_until.get(bank, 0)

@@ -35,12 +35,6 @@ class CongestionEstimator:
     #: wake for it).
     tick_period = None
 
-    #: True when ``congestion_estimate`` can only change at observable
-    #: events (packet forwards/acks), so the event-driven arbiter may
-    #: cache busy-bank release times between events.  Estimators whose
-    #: estimates drift on their own clock (RCA) must set this False.
-    estimates_stable = True
-
     def bind(self, network) -> None:
         """Give the estimator access to live network state."""
         self.network = network
@@ -106,10 +100,12 @@ class RegionalCongestionEstimator(CongestionEstimator):
     specialises those, and not mixed int/float ones.  DESIGN.md, "RCA
     tick: two router counters and a type-stable fold", gives why each
     substitution is exact.
+
+    Estimates change only at a tick, so ``Network.step`` re-derives
+    every parked port's release hint right after one.
     """
 
     name = "rca"
-    estimates_stable = False
 
     def __init__(self, config: SystemConfig):
         self.update_period = max(1, config.rca_update_period)

@@ -22,8 +22,8 @@ output-link busy expiry, earliest ``ready_at`` among parked entries,
 earliest downstream VC drain, or the bank-aware arbiter's release hint.
 Lower bounds are safe: a spurious early scan is a no-op, and every state
 change that could enable earlier progress (a new entry arriving, an
-upstream VC freeing, a WB estimate update, a bank dequeue) pokes the
-hint back down.
+upstream VC freeing, a WB estimate update, an RCA tick, a bank dequeue)
+pokes the hint back down.
 
 A ready LOCAL candidate refused by ejection flow control has no timer.
 At a node whose predicate the owner registered as a bank queue
@@ -138,22 +138,12 @@ class Network:
         self.link_flits: List[int] = [0] * (topo.n_nodes << 3)
         if estimator is not None:
             estimator.bind(self)
-        if hasattr(arbiter, "bind"):
-            arbiter.bind(self)
+        arbiter.bind(self)
         #: pre-bound hot callables (skip the attribute chain per call)
         self._next_port = routing.next_port
-        #: arbiter forward hook, or None when it is a no-op (plain RR)
-        self._arb_on_forward = (
-            arbiter.on_forward
-            if getattr(arbiter, "needs_forward_hook", True) else None
-        )
-        #: node-indexed forward hook (bank-aware arbiters only charge the
-        #: tracker at parent nodes; everywhere else the hook is skipped)
-        hook_at = getattr(arbiter, "forward_hook_at", None)
-        if hook_at is not None:
-            self._arb_fwd_at: List = hook_at
-        else:
-            self._arb_fwd_at = [self._arb_on_forward] * topo.n_nodes
+        #: node-indexed arbiter forward hook, None where a forward needs
+        #: none; the arbiter rebinds this list in place
+        self._arb_fwd_at: List = arbiter.forward_hook_at
 
         self._nonempty_sources = set()
         #: routers currently holding at least one resident packet (the
@@ -176,10 +166,8 @@ class Network:
         #: least one packet (NI-stalled cores re-register on this).
         self.on_source_drain: Optional[Callable[[int, int], None]] = None
         # `tick_period is None` => the estimator never needs ticking.
-        if estimator is None:
-            self._tick_period = None
-        else:
-            self._tick_period = getattr(estimator, "tick_period", 1)
+        self._tick_period = (
+            None if estimator is None else estimator.tick_period)
 
     # ------------------------------------------------------------------
     # Endpoint API
@@ -231,6 +219,17 @@ class Network:
         self._route_cycle(now)
         if self._tick_period is not None and now % self._tick_period == 0:
             self.estimator.tick(now)
+            # The tick republished the estimates every parked port's
+            # release hint was derived from; they hold until the next
+            # tick, so re-derive each hint once.
+            if self._parked:
+                release_hint = self.arbiter.release_hint
+                routers = self.routers
+                for (node, port), (_since, entries) in self._parked.items():
+                    router = routers[node]
+                    hint = release_hint(node, port, entries, now)
+                    if hint < router.next_active:
+                        router.next_active = hint
 
     def step_reference(self, now: int) -> None:
         """:meth:`step` with the dense reference route loop: the network
@@ -297,10 +296,9 @@ class Network:
         progress lowers ``next_active``.
         """
         arbiter = self.arbiter
-        choose = arbiter.choose
         # Per-node dispatch (bank-aware parents vs plain RR) skips the
-        # subclass delegation chain; absent on bare test arbiters.
-        choose_at = getattr(arbiter, "choose_at", None)
+        # subclass delegation chain.
+        choose_at = arbiter.choose_at
         forward = self._forward
         routers = self.routers
         neighbor_node = self.neighbor_node
@@ -327,7 +325,7 @@ class Network:
             router = routers[node]
             if router.next_active > now or router.n_resident == 0:
                 continue
-            node_choose = choose_at[node] if choose_at is not None else choose
+            node_choose = choose_at[node]
             out_entries = router.out_entries
             out_busy_until = router.out_busy_until
             neighbors = neighbor_node[node]

@@ -178,23 +178,6 @@ class Router:
         entry[2] = None  # drop the packet reference before pooling
         self._entry_pool.append(entry)
 
-    def remove_entry(self, out_port: int, entry: list, now: int) -> None:
-        """Unpark a forwarded entry and free its input VC.
-
-        Identity-based: finds the exact ``entry`` object, never a merely
-        value-equal sibling (the same packet object may appear in more
-        than one entry in pathological/test scenarios, and pooled entry
-        lists make value equality meaningless).
-        """
-        entries = self.out_entries[out_port]
-        for index, candidate in enumerate(entries):
-            if candidate is entry:
-                self.remove_entry_at(out_port, index, now)
-                return
-        raise ValueError(
-            f"entry not parked at node {self.node} port {out_port}"
-        )
-
     # ------------------------------------------------------------------
     # Introspection used by the RCA estimator and the stats collector
     # ------------------------------------------------------------------

@@ -35,10 +35,6 @@ class NetworkStats:
     def on_inject(self, pkt: Packet, now: int) -> None:
         self.injected[pkt.klass] += 1
 
-    def on_forward(self, pkt: Packet, now: int) -> None:
-        self.link_traversals += 1
-        self.flits_forwarded += pkt.flits
-
     def on_deliver(self, pkt: Packet, now: int) -> None:
         self.delivered[pkt.klass] += 1
         latency = pkt.latency(now)

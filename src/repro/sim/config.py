@@ -110,7 +110,6 @@ class SystemConfig:
 
     # --- Router / network (Table 1) --------------------------------------
     n_vcs: int = 6
-    vc_buffer_flits: int = 5
     data_packet_flits: int = 8
     addr_packet_flits: int = 1
     router_pipeline_cycles: int = 2
@@ -142,7 +141,6 @@ class SystemConfig:
     # --- L1 cache (Table 1) ----------------------------------------------
     l1_bytes: int = 32 << 10
     l1_associativity: int = 4
-    l1_hit_cycles: int = 2
     l1_mshrs: int = 32
 
     # --- Core (Table 1) ---------------------------------------------------
@@ -282,7 +280,7 @@ class SystemConfig:
         if self.n_vcs < 1:
             raise ConfigError("n_vcs must be >= 1")
         for name in (
-            "vc_buffer_flits", "data_packet_flits", "addr_packet_flits",
+            "data_packet_flits", "addr_packet_flits",
             "router_pipeline_cycles", "ni_queue_entries",
             "bank_queue_entries", "l2_associativity", "l1_associativity",
             "commit_width", "instruction_window", "load_dep_window",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.energy.model import EnergyBreakdown, EnergyModel
@@ -57,7 +57,6 @@ class SimulationResult:
     estimator_accuracy: Optional[Dict] = None
 
     energy: Optional[EnergyBreakdown] = None
-    extras: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
 

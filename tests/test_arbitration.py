@@ -1,5 +1,7 @@
 """Tests for the round-robin and bank-aware arbiters (Section 3)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.arbitration import BankAwareArbiter, RoundRobinArbiter
@@ -158,10 +160,7 @@ class TestVCPressure:
             def free_vc_count(self, port, now):
                 return 0  # port starved
 
-        class FakeNetwork:
-            routers = {91: FakeRouter()}
-
-        arbiter.bind(FakeNetwork())
+        arbiter.bind(SimpleNamespace(topo=topo, routers={91: FakeRouter()}))
         parent = 91
         child = rm.children_of[parent][0]
         arbiter.on_forward(parent, request(topo.bank_node(child), True,

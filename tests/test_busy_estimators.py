@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core.arbitration import BankAwareArbiter
 from repro.core.busy import BankBusyTracker
 from repro.core.estimators import (
     RegionalCongestionEstimator, SimplisticEstimator, WindowEstimator,
     make_estimator,
 )
+from repro.core.regions import RegionMap
 from repro.noc.packet import Packet, PacketClass
+from repro.noc.topology import Mesh3D
 from repro.sim.config import Estimator, Scheme, make_config
 
 
@@ -21,48 +24,89 @@ def read_pkt(bank):
                   inject_cycle=0, is_write=False, bank=bank)
 
 
+class FixedEstimate(SimplisticEstimator):
+    """Stub estimator: a congestion estimate the test sets."""
+
+    def __init__(self):
+        self.cycles = 0
+
+    def congestion_estimate(self, parent_node, bank, now):
+        return self.cycles
+
+
 class TestBusyTracker:
+    """The busy table as the bank-aware arbiter keeps it: charged by
+    ``on_forward`` at the parent, read by ``choose``."""
+
+    PARENT = 91
+
     @pytest.fixture
-    def tracker(self):
-        return BankBusyTracker(make_config(Scheme.STTRAM_4TSB_SS))
+    def arbiter(self):
+        cfg = make_config(Scheme.STTRAM_4TSB_SS)
+        topo = Mesh3D(cfg.mesh_width)
+        rm = RegionMap(topo, cfg.n_region_tsbs, cfg.tsb_placement,
+                       cfg.parent_hop_distance)
+        # Every child of this parent sits two hops below it.
+        assert all(rm.expected_child_distance(b) == 2
+                   for b in rm.children_of[self.PARENT])
+        return BankAwareArbiter(cfg, rm, BankBusyTracker(cfg),
+                                FixedEstimate())
 
-    def test_two_hop_travel_is_four_cycles(self, tracker):
+    def child(self, arbiter):
+        return arbiter.region_map.children_of[self.PARENT][0]
+
+    def forward(self, arbiter, pkt, now):
+        arbiter.on_forward(self.PARENT, pkt, now, out_port=0)
+
+    def test_two_hop_travel_is_four_cycles(self, arbiter):
         # One intermediate 2-stage router plus two links (Section 3.5).
-        assert tracker.travel_cycles(2) == 4
+        assert arbiter.tracker.travel_cycles(2) == 4
 
-    def test_one_hop_travel(self, tracker):
-        assert tracker.travel_cycles(1) == 1
+    def test_one_hop_travel(self, arbiter):
+        assert arbiter.tracker.travel_cycles(1) == 1
 
-    def test_write_charge(self, tracker):
-        tracker.charge(write_pkt(3), now=10, hops=2,
-                       congestion_estimate=0)
-        assert tracker.predicted_free_at(3) == 10 + 4 + 33
+    def test_write_charge(self, arbiter):
+        bank = self.child(arbiter)
+        self.forward(arbiter, write_pkt(bank), now=10)
+        assert arbiter.tracker.predicted_free_at(bank) == 10 + 4 + 33
+        assert arbiter.tracker.predictions == [(bank, 10 + 4, False)]
 
-    def test_read_charge_is_short(self, tracker):
-        tracker.charge(read_pkt(3), now=0, hops=2, congestion_estimate=0)
-        assert tracker.predicted_free_at(3) == 4 + 3
+    def test_read_charge_is_short(self, arbiter):
+        bank = self.child(arbiter)
+        self.forward(arbiter, read_pkt(bank), now=0)
+        assert arbiter.tracker.predicted_free_at(bank) == 4 + 3
 
-    def test_congestion_extends_busy_window(self, tracker):
-        tracker.charge(write_pkt(1), now=0, hops=2,
-                       congestion_estimate=10)
-        assert tracker.predicted_free_at(1) == 4 + 10 + 33
+    def test_congestion_extends_busy_window(self, arbiter):
+        bank = self.child(arbiter)
+        arbiter.estimator.cycles = 10
+        self.forward(arbiter, write_pkt(bank), now=0)
+        assert arbiter.tracker.predicted_free_at(bank) == 4 + 10 + 33
 
-    def test_counter_rearms_rather_than_accumulates(self, tracker):
-        tracker.charge(write_pkt(2), now=0, hops=2, congestion_estimate=0)
-        tracker.charge(write_pkt(2), now=1, hops=2, congestion_estimate=0)
+    def test_counter_rearms_rather_than_accumulates(self, arbiter):
+        bank = self.child(arbiter)
+        self.forward(arbiter, write_pkt(bank), now=0)
+        self.forward(arbiter, write_pkt(bank), now=1)
         # Re-armed for the latest write, not 2 x 33 queued.
-        assert tracker.predicted_free_at(2) == 1 + 4 + 33
+        assert arbiter.tracker.predicted_free_at(bank) == 1 + 4 + 33
+        # The second write was predicted to arrive while the bank is busy.
+        assert arbiter.tracker.predictions[1] == (bank, 1 + 4, True)
 
-    def test_predicted_busy_window(self, tracker):
-        tracker.charge(write_pkt(5), now=0, hops=2, congestion_estimate=0)
-        assert tracker.predicted_busy(5, now=0, hops=2,
-                                      congestion_estimate=0)
-        assert not tracker.predicted_busy(5, now=40, hops=2,
-                                          congestion_estimate=0)
+    def test_predicted_busy_window(self, arbiter):
+        bank = self.child(arbiter)
+        self.forward(arbiter, write_pkt(bank), now=0)
+        # A request sent at t arrives at t + 4: busy until 37, so the
+        # parent holds it through cycle 32 and releases it at 33.
+        for now, winner in ((0, None), (32, None), (33, 0), (40, 0)):
+            entry = [0, 0, write_pkt(bank), now]
+            assert arbiter.choose(self.PARENT, 0, [entry], now) == winner
+        assert arbiter.tracker.delays_predicted == 2
+        held = [0, 0, write_pkt(bank), 0]
+        assert arbiter.release_hint(self.PARENT, 0, [held], 0) == 33
 
-    def test_unknown_bank_is_idle(self, tracker):
-        assert not tracker.predicted_busy(42, now=0, hops=2,
-                                          congestion_estimate=0)
+    def test_unknown_bank_is_idle(self, arbiter):
+        entry = [0, 0, write_pkt(self.child(arbiter)), 0]
+        assert arbiter.choose(self.PARENT, 0, [entry], now=0) == 0
+        assert arbiter.tracker.delays_predicted == 0
 
 
 class TestSimplistic:

@@ -114,7 +114,7 @@ class TestValidation:
         assert cfg.validate() is cfg
 
     @pytest.mark.parametrize("field", [
-        "vc_buffer_flits", "data_packet_flits", "addr_packet_flits",
+        "data_packet_flits", "addr_packet_flits",
         "router_pipeline_cycles", "ni_queue_entries",
         "bank_queue_entries", "l2_associativity", "l1_associativity",
         "commit_width", "instruction_window", "memory_latency_cycles",
@@ -128,9 +128,9 @@ class TestValidation:
             SystemConfig(**{field: -3}).validate()
 
     def test_rejects_non_integer_knobs(self):
-        # 2.5 VCs is not a hardware configuration.
+        # A packet of 2.5 flits is not a hardware configuration.
         with pytest.raises(ConfigError):
-            SystemConfig(vc_buffer_flits=2.5).validate()
+            SystemConfig(data_packet_flits=2.5).validate()
 
     def test_rejects_negative_link_cycles(self):
         with pytest.raises(ConfigError):

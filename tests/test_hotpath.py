@@ -8,9 +8,8 @@ invisible.  These tests pin that down three ways:
 * a fingerprint matrix: four benchmark schemes under the dense oracle
   (reference route loop) and the event scheduler (active-set route
   loop) must produce the same ``SimulationResult`` bit for bit,
-* identity-based entry removal (``Router.remove_entry`` must never
-  remove a merely value-equal sibling entry; pooled entry lists make
-  value equality meaningless),
+* index-based entry removal and entry-list pooling
+  (``Router.remove_entry_at``),
 * the precomputed XY routing table must agree with the closed-form
   ``_compute_port`` reference at every (node, destination, via) step.
 """
@@ -66,31 +65,8 @@ def _mk_pkt(src=0, dst=1, flits=1):
 
 
 class TestIdentityRemoval:
-    """``remove_entry`` removes the exact entry object, never a
-    value-equal sibling (regression for the ``list.remove`` era)."""
-
-    def test_removes_exact_entry_not_value_equal_twin(self):
-        router = Router(node=0, n_vcs=4)
-        pkt = _mk_pkt()
-        # Two entries for the *same* packet object with identical fields
-        # except the VC -- then forge the VCs equal so the entries are
-        # value-equal but distinct objects.
-        router.accept(LOCAL, 0, pkt, out_port=1, arrival=0)
-        router.accept(LOCAL, 1, pkt, out_port=1, arrival=0)
-        first, second = router.out_entries[1]
-        second[1] = first[1] = 0
-        assert first == second and first is not second
-        router.remove_entry(1, second, now=0)
-        assert router.out_entries[1] == [first]
-        assert router.out_entries[1][0] is first
-
-    def test_missing_entry_raises(self):
-        router = Router(node=0, n_vcs=4)
-        pkt = _mk_pkt()
-        router.accept(LOCAL, 0, pkt, out_port=1, arrival=0)
-        stranger = [LOCAL, 0, pkt, 0]  # value-equal, never parked
-        with pytest.raises(ValueError):
-            router.remove_entry(1, stranger, now=0)
+    """Entries leave their queue by index (``remove_entry_at``), never
+    by value: pooled entry lists make value equality meaningless."""
 
     def test_entry_pool_recycles_lists(self):
         router = Router(node=0, n_vcs=4)

@@ -12,6 +12,8 @@ on identical seeded workloads over a small 16-node mesh and compare
   schedule of every bank,
 * every ``CoreStats`` field of every core and each core's MSHR
   ``full_stalls`` (the lazily accrued sleep counters),
+* the bank-aware arbiter's delay counters and the busy tracker's
+  prediction log (parked cycles are accrued in bulk),
 * the entire ``SimulationResult``.
 
 Inputs cover all six schemes, randomized odd warm-ups and windows
@@ -27,9 +29,16 @@ import random
 import pytest
 
 from repro.cache.bank import BankStats
+from repro.core.arbitration import BankAwareArbiter
+from repro.core.busy import BankBusyTracker
+from repro.core.estimators import RegionalCongestionEstimator
+from repro.core.regions import build_region_map
 from repro.cpu.core import CoreStats
 from repro.cpu.trace import IdleStream, ScriptedStream, bank_block
-from repro.noc.packet import reset_packet_ids
+from repro.noc.network import Network
+from repro.noc.packet import Packet, PacketClass, reset_packet_ids
+from repro.noc.routing import RoutingPolicy
+from repro.noc.topology import DOWN, Mesh3D
 from repro.obs import Observability
 from repro.resilience import FaultConfig
 from repro.sim.config import Scheme, TSBPlacement, make_config
@@ -39,6 +48,12 @@ from tests.conftest import burst_workload, small_config
 
 CORE_FIELDS = CoreStats.__slots__
 BANK_FIELDS = BankStats.__slots__
+#: bank-aware arbiter and busy-tracker counters; the event scheduler
+#: books a parked port's skipped cycles into them in bulk
+#: (``accrue_parked``)
+ARBITER_FIELDS = ("packets_delayed", "delay_cycles", "reorders",
+                  "vc_pressure_releases")
+TRACKER_FIELDS = ("delays_predicted", "predictions")
 
 
 def _run(config, make_workload, scheduler, cycles=600, warmup=120,
@@ -67,6 +82,13 @@ def _assert_fields_equal(dense_sim, event_sim):
         for name in BANK_FIELDS:
             assert getattr(db.stats, name) == getattr(eb.stats, name), (
                 f"bank {b} BankStats.{name} drift")
+    if dense_sim.tracker is not None:
+        for name in ARBITER_FIELDS:
+            assert getattr(dense_sim.arbiter, name) == getattr(
+                event_sim.arbiter, name), f"arbiter {name} drift"
+        for name in TRACKER_FIELDS:
+            assert getattr(dense_sim.tracker, name) == getattr(
+                event_sim.tracker, name), f"tracker {name} drift"
 
 
 def _assert_equivalent(config, make_workload, cycles=600, warmup=120,
@@ -326,3 +348,58 @@ class TestBlockedRouterRearm:
         assert bank.stats.max_queue_depth == bank.queue_limit
         assert bank.redirected_reads > 0
         assert any(woken)
+
+
+class TestRCAParkedRelease:
+    """Under RCA a parked port sleeps until its exact release, and the
+    post-tick re-derivation wakes it when a tick raises the estimate
+    enough to release a candidate."""
+
+    def test_parked_port_sleeps_until_release_and_tick_rearms(self):
+        cfg = small_config(Scheme.STTRAM_4TSB_RCA)
+        topo = Mesh3D(cfg.mesh_width)
+        region_map = build_region_map(cfg, topo)
+        tracker = BankBusyTracker(cfg)
+        estimator = RegionalCongestionEstimator(cfg)
+        arbiter = BankAwareArbiter(cfg, region_map, tracker, estimator)
+        net = Network(cfg, topo, RoutingPolicy(topo, region_map), arbiter,
+                      estimator)
+        assert cfg.rca_update_period == 1  # every cycle ticks
+        # The core above a region TSB is the parent of the banks close
+        # below it; its own requests enter the network at the parent.
+        parent = region_map.regions[0].tsb_core_node
+        bank = region_map.children_of[parent][0]
+        travel = tracker.travel_cycles(
+            region_map.expected_child_distance(bank))
+
+        def request(now):
+            return Packet(PacketClass.REQUEST, parent, topo.bank_node(bank),
+                          cfg.data_packet_flits, inject_cycle=now,
+                          is_write=True, bank=bank)
+
+        arbiter.on_forward(parent, request(0), 0, out_port=DOWN)
+        free_at = tracker.busy_until[bank]
+        release = free_at - travel  # the estimate is 0 before any load
+        assert release > 3
+        net.inject(request(1), 1)
+        router = net.routers[parent]
+        # Cycle 1 injects and parks the request; it then sleeps until the
+        # release, through ticks that keep the estimate.
+        for now in range(1, 4):
+            net.step(now)
+            assert router.n_resident == 1
+            assert estimator.congestion_estimate(parent, bank, now) == 0
+            assert router.next_active == release
+        assert arbiter.packets_delayed == 1, "parked once, never re-scanned"
+
+        # Congest every link as far as the RCA tick can see: the next
+        # tick raises the estimate past the remaining busy window.
+        now = 4
+        for r in net.routers:
+            r.link_busy_until = now + 255
+        net.step(now)
+        assert now + travel + estimator.congestion_estimate(
+            parent, bank, now) >= free_at
+        assert router.next_active == now + 1
+        net.step(now + 1)
+        assert router.n_resident == 0, "the released request forwards"
