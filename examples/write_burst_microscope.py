@@ -68,8 +68,8 @@ def main() -> None:
             print(f"  {kind:5s} -> bank {bank:2d}: service starts at "
                   f"cycle {start}")
         if sim.tracker is not None:
-            print(f"  packets the arbiter delayed: "
-                  f"{sim.arbiter.packets_delayed}, "
+            print(f"  cycles the arbiter delayed packets for: "
+                  f"{sim.arbiter.delay_cycles}, "
                   f"re-ordering decisions: {sim.arbiter.reorders}")
 
 

@@ -22,9 +22,6 @@ class WriteBuffer:
 
     def __init__(self, config: WriteBufferConfig):
         self.config = config
-        #: capacity, hoisted off the config: ``absorb`` is on the
-        #: per-write critical path of every buffered bank.
-        self._capacity = config.entries
         #: block -> pending-write marker (insertion ordered = drain order)
         self._entries: "OrderedDict[int, bool]" = OrderedDict()
         self.writes_absorbed = 0
@@ -42,7 +39,7 @@ class WriteBuffer:
 
     @property
     def full(self) -> bool:
-        return len(self) >= self._capacity
+        return len(self) >= self.config.entries
 
     def absorb(self, block: int) -> bool:
         """Try to complete a write into the buffer.
@@ -55,9 +52,7 @@ class WriteBuffer:
             entries.move_to_end(block)
             self.writes_absorbed += 1
             return True
-        # Inline of ``self.full`` (property + __len__ dispatch costs
-        # more than the test on this path).
-        if len(entries) + (self._draining is not None) >= self._capacity:
+        if self.full:
             self.writes_stalled += 1
             return False
         entries[block] = True

@@ -61,28 +61,22 @@ class RoundRobinArbiter:
         if not entries:
             return None
         key = (node << 3) | out_port
-        if len(entries) == 1:
-            # Sole candidate: skip the scan, advance the pointer exactly
-            # as the general path would.
-            e = entries[0]
-            self._pointers[key] = (e[0] * 64 + e[1] + 1) % 4096
-            return 0
-        pointer = self._pointers.get(key, 0)
-        # Rotate over (in_port, vc) identities for classic RR fairness.
-        # (in_port, vc) pairs are unique within one output queue, so the
-        # minimum rotation distance picks the same winner a full sort
-        # would -- without building the order list.
         winner = 0
-        best = (entries[0][0] * 64 + entries[0][1] - pointer) % 4096
-        for i in range(1, len(entries)):
-            e = entries[i]
-            distance = (e[0] * 64 + e[1] - pointer) % 4096
-            if distance < best:
-                best = distance
-                winner = i
-        self._pointers[key] = (
-            entries[winner][0] * 64 + entries[winner][1] + 1
-        ) % 4096
+        if len(entries) > 1:
+            pointer = self._pointers.get(key, 0)
+            # Rotate over (in_port, vc) identities for classic RR
+            # fairness.  (in_port, vc) pairs are unique within one output
+            # queue, so the minimum rotation distance picks the same
+            # winner a full sort would -- without building the order list.
+            best = (entries[0][0] * 64 + entries[0][1] - pointer) % 4096
+            for i in range(1, len(entries)):
+                e = entries[i]
+                distance = (e[0] * 64 + e[1] - pointer) % 4096
+                if distance < best:
+                    best = distance
+                    winner = i
+        e = entries[winner]
+        self._pointers[key] = (e[0] * 64 + e[1] + 1) % 4096
         return winner
 
 
@@ -115,7 +109,6 @@ class BankAwareArbiter(RoundRobinArbiter):
         self.estimator = estimator
         self.max_delay = config.max_delay_cycles
         #: instrumentation
-        self.packets_delayed = 0
         self.delay_cycles = 0
         self.reorders = 0
         self.vc_pressure_releases = 0
@@ -272,7 +265,6 @@ class BankAwareArbiter(RoundRobinArbiter):
                 if free_at > now and (
                     now + travel[bank] + estimate(node, bank, now) < free_at
                 ):
-                    tracker.delays_predicted += 1
                     if (
                         router is not None
                         and router.free_vc_count(entry[0], now)
@@ -288,9 +280,7 @@ class BankAwareArbiter(RoundRobinArbiter):
 
         for i in delayed:
             entries[i][ENTRY_PKT].delayed_cycles += 1
-            self.delay_cycles += 1
-        if delayed:
-            self.packets_delayed += len(delayed)
+        self.delay_cycles += len(delayed)
 
         if not eligible:
             # All candidates head to busy banks: leave the output idle so
@@ -381,5 +371,3 @@ class BankAwareArbiter(RoundRobinArbiter):
         for entry in entries:
             entry[ENTRY_PKT].delayed_cycles += cycles
         self.delay_cycles += n
-        self.packets_delayed += n
-        self.tracker.delays_predicted += n

@@ -32,8 +32,6 @@ class BankBusyTracker:
         self.write_cycles = config.l2_write_cycles
         self.hop_cycles = config.hop_cycles
         self.busy_until: Dict[int, int] = {}
-        #: instrumentation: predicted-busy hits seen by the arbiter.
-        self.delays_predicted = 0
         #: Always-on prediction log consumed by the accuracy analysis:
         #: one ``(bank, predicted arrival cycle, predicted busy)`` row per
         #: forwarded managed request, appended by

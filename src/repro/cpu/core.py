@@ -12,7 +12,7 @@ misses (read-for-ownership) occupy MSHRs but do not block retirement.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sized
 
 from repro.cache.arrays import CacheArray
 from repro.cache.messages import CoherenceMsg, CoherenceOp, Transaction
@@ -77,9 +77,8 @@ class Core:
         stream: AccessStream,
         send: SendFn,
         bank_node_for_block: Callable[[int], int],
-        can_send: Optional[Callable[[], bool]] = None,
-        ni_queue=None,
-        ni_limit: int = 0,
+        ni_queue: Sized,
+        ni_limit: int,
     ):
         self.core_id = core_id
         self.node = node
@@ -87,9 +86,8 @@ class Core:
         self.stream = stream
         self.send = send
         self._bank_node_for_block = bank_node_for_block
-        self._can_send = can_send
-        #: direct view of the NI source queue (len(q) >= limit ≡ not
-        #: can_inject); skips two call frames per L1 miss when set.
+        #: the node's NI source queue: a miss stalls while it holds
+        #: ``ni_limit`` packets (source-side flow control)
         self._ni_queue = ni_queue
         self._ni_limit = ni_limit
 
@@ -144,14 +142,9 @@ class Core:
         boundary).
         """
         stats = self.stats
-        blocking = self._blocking_loads
-        if blocking:
-            # Inline of _window_blocked (hottest entry check).
-            committed = stats.committed
-            for issued_at, window in blocking.values():
-                if committed - issued_at >= window:
-                    stats.stall_cycles += 1
-                    return CORE_STALL_WINDOW
+        if self._window_blocked():
+            stats.stall_cycles += 1
+            return CORE_STALL_WINDOW
         mem_op_done = False
         attempted = False
         stall = CORE_RUN
@@ -213,12 +206,7 @@ class Core:
             self.stats.mem_ops += 1
             self._advance_stream()
             return True
-        ni_queue = self._ni_queue
-        if ni_queue is None:
-            blocked = self._can_send is not None and not self._can_send()
-        else:
-            blocked = len(ni_queue) >= self._ni_limit
-        if blocked:
+        if len(self._ni_queue) >= self._ni_limit:
             # NI source queue / store buffer full: stall the stream.
             self.stats.ni_stall_cycles += 1
             self.l1.misses -= 1  # the retried lookup re-counts the miss

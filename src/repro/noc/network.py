@@ -158,10 +158,6 @@ class Network:
         #: the route loop tests one bit instead of building a tuple key
         #: and probing the dict on every port scan.
         self._parked_mask = 0
-        #: reusable candidate scratch lists for the route loop (cleared
-        #: per port scan; parking snapshots them with ``tuple()``)
-        self._scratch_cand: List[list] = []
-        self._scratch_idx: List[int] = []
         #: invoked with the node id whenever a source NI queue pops at
         #: least one packet (NI-stalled cores re-register on this).
         self.on_source_drain: Optional[Callable[[int, int], None]] = None
@@ -186,14 +182,6 @@ class Network:
         if flow_control is not None:
             self._flow_at[node] = flow_control
             self._bank_gated[node] = bank_queue
-
-    def can_inject(self, node: int) -> bool:
-        """Source-side flow control: is there NI queue space at ``node``?
-
-        Only cores consult this (and stall their streams when it fails);
-        banks and controllers mid-transaction may exceed the limit.
-        """
-        return len(self.source_queues[node]) < self.config.ni_queue_entries
 
     def inject(self, pkt: Packet, now: int) -> None:
         """Queue a packet at its source NI."""
@@ -309,10 +297,7 @@ class Network:
         opposite = OPPOSITE
         local = LOCAL
         never = NEVER
-        n_vcs = self.config.n_vcs
         parked_mask = self._parked_mask
-        candidates: list = self._scratch_cand
-        cand_index: list = self._scratch_idx
         active = self._active_routers
         if not active:
             return
@@ -353,48 +338,17 @@ class Network:
                             f"packet routed off-mesh at node {node}"
                         )
                     downstream = routers[down_node]
-                    # Inline of ``downstream.next_free_vc_at`` (the most
-                    # frequent gate in the loop; must stay equivalent).
-                    d_pkt = downstream.vc_pkt
-                    d_free = downstream.vc_free_at
-                    base = opposite[out_port] * n_vcs
-                    vc_at = never
-                    for s in range(base, base + n_vcs):
-                        if d_pkt[s] is None:
-                            t = d_free[s]
-                            if t <= now:
-                                vc_at = now
-                                break
-                            if t < vc_at:
-                                vc_at = t
+                    vc_at = downstream.next_free_vc_at(
+                        opposite[out_port], now)
                     if vc_at > now:
                         if vc_at < wake:
                             wake = vc_at
                         continue
-                del candidates[:]
-                del cand_index[:]
+                candidates = []
+                cand_index = []
                 min_ready = never
                 blocked = False
-                if len(entries) == 1:
-                    # Single-occupant port -- the common case on a
-                    # lightly loaded mesh; same decisions as the
-                    # general loops below without the enumerate
-                    # machinery.
-                    e = entries[0]
-                    ra = e[3]  # == e[2].ready_at for live entries
-                    if ra > now:
-                        min_ready = ra
-                    elif out_port != local:
-                        candidates.append(e)
-                        cand_index.append(0)
-                    else:
-                        accept = flow_at[node]
-                        if accept is None or accept(e[2]):
-                            candidates.append(e)
-                            cand_index.append(0)
-                        else:
-                            blocked = True
-                elif out_port == local:
+                if out_port == local:
                     accept = flow_at[node]
                     for i, e in enumerate(entries):
                         ra = e[3]  # == e[2].ready_at for live entries
@@ -440,7 +394,7 @@ class Network:
                 if winner is None:
                     # Every candidate heads to a predicted-busy bank: park
                     # them and sleep until the arbiter's release bound.
-                    parked_map[(node, out_port)] = (now, tuple(candidates))
+                    parked_map[(node, out_port)] = (now, candidates)
                     parked_mask |= 1 << ((node << 3) | out_port)
                     self._parked_mask = parked_mask
                     hint = arbiter.release_hint(
@@ -518,12 +472,11 @@ class Network:
 
     def _forward(self, router: Router, downstream: Optional[Router],
                  out_port: int, entry: list, index: int, now: int) -> None:
-        # Entry fields must be read before removal: the removal path
-        # recycles the entry list into the router's allocation pool.
         in_port = entry[0]
         pkt = entry[2]
         # Inline of ``router.remove_entry_at`` (one call per forwarded
-        # packet; must stay exactly equivalent to it).
+        # packet; must stay exactly equivalent to it, which
+        # tests/test_hotpath.py::TestForwardInlines checks).
         entries = router.out_entries[out_port]
         del entries[index]
         if not entries:
@@ -533,8 +486,6 @@ class Network:
         router.vc_free_at[slot] = now + pkt.flits
         router.n_resident -= 1
         router.n_flits -= pkt.flits
-        entry[2] = None  # drop the packet reference before pooling
-        router._entry_pool.append(entry)
         node = router.node
 
         # The freed input VC may unblock the upstream router that feeds
@@ -609,7 +560,8 @@ class Network:
         down_node = downstream.node
         in_p = OPPOSITE[out_port]
         # Inline of ``downstream.free_vc`` + ``downstream.accept`` (one
-        # call pair per forwarded packet; must stay exactly equivalent).
+        # call pair per forwarded packet; must stay exactly equivalent,
+        # which tests/test_hotpath.py::TestForwardInlines checks).
         # Both route loops verified a free VC exists before arbitrating,
         # so the claim scan always breaks.
         n_vcs = downstream.n_vcs
@@ -620,17 +572,9 @@ class Network:
             if pkts[slot] is None and free_at[slot] <= now:
                 break
         pkts[slot] = pkt
-        pool = downstream._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = in_p
-            entry[1] = slot - base
-            entry[2] = pkt
-            entry[3] = ready_at
-        else:
-            entry = [in_p, slot - base, pkt, ready_at]
         out_p = self._next_port(down_node, pkt)
-        downstream.out_entries[out_p].append(entry)
+        downstream.out_entries[out_p].append(
+            [in_p, slot - base, pkt, ready_at])
         downstream.port_mask |= 1 << out_p
         downstream.n_resident += 1
         downstream.n_flits += pkt.flits

@@ -25,12 +25,10 @@ Hot-path state layout
 Per-port/per-VC state is stored *flat*: ``vc_pkt`` and ``vc_free_at``
 are single preallocated lists indexed ``port * n_vcs + vc`` so the
 per-cycle VC scans touch one list object instead of walking a
-list-of-lists.  Candidate-queue entries (``[in_port, vc, pkt,
-arrival]``) are recycled through a per-router free list: :meth:`accept`
-pops from the pool and :meth:`remove_entry_at` pushes back, so steady
-state allocates no entry lists at all.  Removal is by *index* (the
-caller tracked where the entry sits in its queue), preserving FIFO
-candidate order exactly -- no value-equality ``list.remove`` scan.
+list-of-lists.  Candidate-queue entries are ``[in_port, vc, pkt,
+arrival]`` lists, removed by *index* (the caller tracked where the entry
+sits in its queue), preserving FIFO candidate order exactly -- no
+value-equality ``list.remove`` scan.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ class Router:
     __slots__ = (
         "node", "n_vcs", "vc_pkt", "vc_free_at", "out_busy_until",
         "out_entries", "port_mask", "n_resident", "n_flits",
-        "link_busy_until", "next_active", "kblocked", "_entry_pool",
+        "link_busy_until", "next_active", "kblocked",
     )
 
     def __init__(self, node: int, n_vcs: int):
@@ -88,8 +86,6 @@ class Router:
         #: and the bank's dequeue notification re-arms ``next_active``
         #: (see ``Network.on_bank_dequeue``)
         self.kblocked = False
-        #: recycled entry lists (allocation pooling for the hot loop)
-        self._entry_pool: List[list] = []
 
     # ------------------------------------------------------------------
 
@@ -146,16 +142,7 @@ class Router:
         """Reserve an input VC for an incoming packet and park it on its
         output-port candidate queue."""
         self.vc_pkt[port * self.n_vcs + vc] = pkt
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = port
-            entry[1] = vc
-            entry[2] = pkt
-            entry[3] = arrival
-        else:
-            entry = [port, vc, pkt, arrival]
-        self.out_entries[out_port].append(entry)
+        self.out_entries[out_port].append([port, vc, pkt, arrival])
         self.port_mask |= 1 << out_port
         self.n_resident += 1
         self.n_flits += pkt.flits
@@ -164,7 +151,7 @@ class Router:
 
     def remove_entry_at(self, out_port: int, index: int, now: int) -> None:
         """Unpark the entry at ``index`` of an output queue and free its
-        input VC; the entry list is recycled into the pool."""
+        input VC."""
         entries = self.out_entries[out_port]
         entry = entries[index]
         del entries[index]
@@ -175,8 +162,6 @@ class Router:
         self.vc_free_at[slot] = now + entry[2].flits
         self.n_resident -= 1
         self.n_flits -= entry[2].flits
-        entry[2] = None  # drop the packet reference before pooling
-        self._entry_pool.append(entry)
 
     # ------------------------------------------------------------------
     # Introspection used by the RCA estimator and the stats collector

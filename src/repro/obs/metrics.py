@@ -94,9 +94,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        return percentiles_from_hist(self.hist, (q,))[q]
-
     def percentiles(
         self, qs: Iterable[float] = DEFAULT_PERCENTILES,
     ) -> Dict[float, float]:

@@ -99,14 +99,16 @@ class TestBusyTracker:
         for now, winner in ((0, None), (32, None), (33, 0), (40, 0)):
             entry = [0, 0, write_pkt(bank), now]
             assert arbiter.choose(self.PARENT, 0, [entry], now) == winner
-        assert arbiter.tracker.delays_predicted == 2
+        assert arbiter.delay_cycles == 2
+        assert arbiter.vc_pressure_releases == 0
         held = [0, 0, write_pkt(bank), 0]
         assert arbiter.release_hint(self.PARENT, 0, [held], 0) == 33
 
     def test_unknown_bank_is_idle(self, arbiter):
         entry = [0, 0, write_pkt(self.child(arbiter)), 0]
         assert arbiter.choose(self.PARENT, 0, [entry], now=0) == 0
-        assert arbiter.tracker.delays_predicted == 0
+        assert arbiter.delay_cycles == 0
+        assert arbiter.vc_pressure_releases == 0
 
 
 class TestSimplistic:

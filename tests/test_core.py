@@ -1,5 +1,7 @@
 """Tests for the trace-driven core model."""
 
+from collections import deque
+
 import pytest
 
 from repro.cache.messages import CoherenceMsg, CoherenceOp, Transaction
@@ -10,14 +12,18 @@ from repro.sim.config import Scheme, make_config
 
 
 class Harness:
-    def __init__(self, stream, can_send=None, **overrides):
+    def __init__(self, stream, ni_full=False, **overrides):
         self.config = make_config(Scheme.STTRAM_64TSB, mesh_width=4,
                                   capacity_scale=1 / 256, **overrides)
         self.sent = []
+        # The NI source queue the core checks before each miss; ``_send``
+        # never fills it, so only ``ni_full`` makes the core stall on it.
+        limit = self.config.ni_queue_entries
+        self.ni_queue = deque([None] * limit if ni_full else ())
         self.core = Core(
             0, 0, self.config, stream, self._send,
             bank_node_for_block=lambda b: 16 + b % 16,
-            can_send=can_send,
+            ni_queue=self.ni_queue, ni_limit=limit,
         )
         self.now = 0
 
@@ -123,7 +129,7 @@ class TestStoreMiss:
 
     def test_ni_backpressure_stalls_stream(self):
         h = Harness(ScriptedStream([(0, i, True) for i in range(50)]),
-                    can_send=lambda: False)
+                    ni_full=True)
         h.tick(10)
         assert not h.sent
         assert h.core.stats.ni_stall_cycles > 0

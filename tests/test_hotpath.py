@@ -1,26 +1,28 @@
-"""Hot-path datapath invariants (flat router state, pooling, dispatch).
+"""Hot-path datapath invariants (flat router state, inlines, dispatch).
 
 The optimized executed-cycle datapath -- flat ``port * n_vcs + vc`` VC
-arrays, entry-list pooling, precomputed routing tables, per-node arbiter
-dispatch, and the active-set route loop -- must be observationally
-invisible.  These tests pin that down three ways:
+arrays, precomputed routing tables, per-node arbiter dispatch, the
+active-set route loop and ``_forward``'s inlined router methods -- must
+be observationally invisible.  These tests pin that down three ways:
 
 * a fingerprint matrix: four benchmark schemes under the dense oracle
   (reference route loop) and the event scheduler (active-set route
   loop) must produce the same ``SimulationResult`` bit for bit,
-* index-based entry removal and entry-list pooling
-  (``Router.remove_entry_at``),
+* ``Network._forward`` must leave both routers exactly as
+  ``Router.remove_entry_at`` and ``free_vc`` + ``accept`` would,
 * the precomputed XY routing table must agree with the closed-form
   ``_compute_port`` reference at every (node, destination, via) step.
 """
 
 import pytest
 
+from repro.core.arbitration import RoundRobinArbiter
+from repro.noc.network import Network
 from repro.noc.packet import Packet, PacketClass, reset_packet_ids
-from repro.noc.router import Router
+from repro.noc.router import NEVER, Router
 from repro.noc.routing import RoutingPolicy
-from repro.noc.topology import LOCAL, Mesh3D
-from repro.sim.config import Scheme
+from repro.noc.topology import EAST, LOCAL, OPPOSITE, SOUTH, WEST, Mesh3D
+from repro.sim.config import Scheme, make_config
 from repro.sim.simulator import CMPSimulator
 from repro.workloads.mixes import homogeneous
 from tests.conftest import small_config
@@ -60,23 +62,63 @@ class TestFingerprintIdentity:
             f"{scheme.value}: SimulationResult drift in {diffs}")
 
 
-def _mk_pkt(src=0, dst=1, flits=1):
-    return Packet(PacketClass.REQUEST, src, dst, flits, inject_cycle=0)
+def _copy_router(router):
+    """A twin of ``router`` sharing its packets but none of its lists."""
+    twin = Router(router.node, router.n_vcs)
+    for name in Router.__slots__:
+        value = getattr(router, name)
+        if name == "out_entries":
+            value = [[list(e) for e in queue] for queue in value]
+        elif isinstance(value, list):
+            value = list(value)
+        setattr(twin, name, value)
+    return twin
 
 
-class TestIdentityRemoval:
-    """Entries leave their queue by index (``remove_entry_at``), never
-    by value: pooled entry lists make value equality meaningless."""
+class TestForwardInlines:
+    """``_forward`` inlines ``Router.remove_entry_at`` and ``free_vc`` +
+    ``accept``.  Both datapaths run the same ``_forward``, so only a
+    direct comparison with those methods checks the inlines."""
 
-    def test_entry_pool_recycles_lists(self):
-        router = Router(node=0, n_vcs=4)
-        router.accept(LOCAL, 0, _mk_pkt(), out_port=1, arrival=0)
-        recycled = router.out_entries[1][0]
-        router.remove_entry_at(1, 0, now=0)
-        assert recycled[2] is None  # packet reference dropped
-        router.accept(LOCAL, 1, _mk_pkt(), out_port=2, arrival=3)
-        assert router.out_entries[2][0] is recycled  # pooled reuse
-        assert router.out_entries[2][0][3] == 3
+    def test_forward_matches_router_methods(self):
+        cfg = make_config(Scheme.SRAM_64TSB, mesh_width=4)
+        topo = Mesh3D(cfg.mesh_width)
+        net = Network(cfg, topo, RoutingPolicy(topo, None),
+                      RoundRobinArbiter())
+        up, down = net.routers[5], net.routers[6]
+        assert topo.neighbor(5, EAST) == 6
+        in_p = OPPOSITE[EAST]
+        # Three entries queue for EAST; downstream, VC 0 holds a packet
+        # and VC 1 drains until cycle 20, so the claims take VCs 2, 3
+        # and then the drained VC 1.
+        for in_port, vc, flits, arrival in (
+                (LOCAL, 0, 1, 2), (WEST, 1, 8, 4), (SOUTH, 0, 8, 3)):
+            pkt = Packet(PacketClass.REQUEST, 5, 7, flits, inject_cycle=0)
+            up.accept(in_port, vc, pkt, EAST, arrival)
+        down.accept(in_p, 0, Packet(PacketClass.REQUEST, 5, 6, 1,
+                                    inject_cycle=0), LOCAL, 1)
+        down.vc_free_at[in_p * cfg.n_vcs + 1] = 20
+        up.next_active = down.next_active = NEVER
+        now = 10
+        # The middle entry, the last one, then the sole one left.
+        for index in (1, 1, 0):
+            ref_up, ref_down = _copy_router(up), _copy_router(down)
+            entry = up.out_entries[EAST][index]
+            pkt = entry[2]
+            out_p = net.routing.next_port(6, pkt)  # pure: no waypoint
+            net._forward(up, down, EAST, entry, index, now)
+
+            ref_up.remove_entry_at(EAST, index, now)
+            busy = ref_up.out_busy_until[EAST] = now + pkt.flits
+            ref_up.link_busy_until = max(ref_up.link_busy_until, busy)
+            ref_down.accept(in_p, ref_down.free_vc(in_p, now), pkt, out_p,
+                            now + cfg.hop_cycles)
+            for name in Router.__slots__:
+                assert getattr(up, name) == getattr(ref_up, name), name
+                assert getattr(down, name) == getattr(ref_down, name), name
+            now += 8
+        assert up.port_mask == 0
+        assert [e[1] for e in down.out_entries[EAST]] == [2, 3, 1]
 
 
 class TestRoutingTableEquivalence:

@@ -141,11 +141,12 @@ class TestFlowControl:
         cfg, topo, net = build_network()
         node = 0
         limit = cfg.ni_queue_entries
+        queue = net.source_queues[node]
         for i in range(limit):
-            assert net.can_inject(node)
+            assert len(queue) < limit
             net.inject(Packet(PacketClass.REQUEST, node,
                               topo.bank_node(1), 8, inject_cycle=0), 0)
-        assert not net.can_inject(node)
+        assert len(queue) == limit
 
 
 class TestRegionTSBCombining:

@@ -51,9 +51,8 @@ BANK_FIELDS = BankStats.__slots__
 #: bank-aware arbiter and busy-tracker counters; the event scheduler
 #: books a parked port's skipped cycles into them in bulk
 #: (``accrue_parked``)
-ARBITER_FIELDS = ("packets_delayed", "delay_cycles", "reorders",
-                  "vc_pressure_releases")
-TRACKER_FIELDS = ("delays_predicted", "predictions")
+ARBITER_FIELDS = ("delay_cycles", "reorders", "vc_pressure_releases")
+TRACKER_FIELDS = ("predictions",)
 
 
 def _run(config, make_workload, scheduler, cycles=600, warmup=120,
@@ -390,7 +389,7 @@ class TestRCAParkedRelease:
             assert router.n_resident == 1
             assert estimator.congestion_estimate(parent, bank, now) == 0
             assert router.next_active == release
-        assert arbiter.packets_delayed == 1, "parked once, never re-scanned"
+        assert arbiter.delay_cycles == 1, "parked once, never re-scanned"
 
         # Congest every link as far as the RCA tick can see: the next
         # tick raises the estimate past the remaining busy window.
