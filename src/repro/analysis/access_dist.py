@@ -105,8 +105,7 @@ def average_requests_at_distance(sim, hops: int, samples: int = 200,
                 continue
             count = 0
             for entries in router.out_entries:
-                for entry in entries:
-                    pkt = entry[2]
+                for pkt in entries:
                     if (
                         pkt.klass is PacketClass.REQUEST
                         and pkt.bank is not None

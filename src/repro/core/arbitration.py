@@ -19,11 +19,6 @@ from repro.obs.events import EV_ARB_REORDER, EV_EST_PREDICT
 from repro.noc.router import NEVER
 from repro.sim.config import SystemConfig
 
-# An arbitration entry as kept by the router output queues:
-# [in_port, vc, packet, arrival_cycle]
-ENTRY_PKT = 2
-ENTRY_ARRIVAL = 3
-
 
 class RoundRobinArbiter:
     """Oblivious baseline: rotate over the requesting (port, vc) pairs."""
@@ -51,9 +46,9 @@ class RoundRobinArbiter:
         self.choose_at = [self.choose] * n_nodes
         self.forward_hook_at[:] = [None] * n_nodes
 
-    def choose(self, node: int, out_port: int, entries: List[list],
+    def choose(self, node: int, out_port: int, entries: List[Packet],
                now: int) -> Optional[int]:
-        """Pick the index of the winning entry, or None to idle.
+        """Pick the index of the winning packet, or None to idle.
 
         ``entries`` only contains candidates that are ready and whose
         downstream VC is available.
@@ -68,15 +63,16 @@ class RoundRobinArbiter:
             # fairness.  (in_port, vc) pairs are unique within one output
             # queue, so the minimum rotation distance picks the same
             # winner a full sort would -- without building the order list.
-            best = (entries[0][0] * 64 + entries[0][1] - pointer) % 4096
+            pkt = entries[0]
+            best = (pkt.in_port * 64 + pkt.vc - pointer) % 4096
             for i in range(1, len(entries)):
-                e = entries[i]
-                distance = (e[0] * 64 + e[1] - pointer) % 4096
+                pkt = entries[i]
+                distance = (pkt.in_port * 64 + pkt.vc - pointer) % 4096
                 if distance < best:
                     best = distance
                     winner = i
-        e = entries[winner]
-        self._pointers[key] = (e[0] * 64 + e[1] + 1) % 4096
+        pkt = entries[winner]
+        self._pointers[key] = (pkt.in_port * 64 + pkt.vc + 1) % 4096
         return winner
 
 
@@ -210,14 +206,17 @@ class BankAwareArbiter(RoundRobinArbiter):
         if self.network is not None:
             self.bind(self.network)
 
-    def choose(self, node: int, out_port: int, entries: List[list],
+    def choose(self, node: int, out_port: int, entries: List[Packet],
                now: int) -> Optional[int]:
         if node not in self._children:
             return super().choose(node, out_port, entries, now)
         return self._choose_parent(node, out_port, entries, now)
 
-    def _choose_parent(self, node: int, out_port: int, entries: List[list],
-                       now: int) -> Optional[int]:
+    def _choose_parent(self, node: int, out_port: int,
+                       entries: List[Packet], now: int) -> Optional[int]:
+        """The parent-router choice.  A candidate's age (starvation valve,
+        oldest-arrival tie-break) counts from its arrival at this router,
+        its ``ready_at``."""
         if not entries:
             return None
         children = self._children[node]
@@ -225,14 +224,13 @@ class BankAwareArbiter(RoundRobinArbiter):
             # Sole candidate: it wins outright unless it is a managed
             # request headed to a possibly-busy bank (then the general
             # path decides whether to park it).
-            entry = entries[0]
-            pkt = entry[ENTRY_PKT]
+            pkt = entries[0]
             bank = pkt.bank
             if (
                 pkt.klass is not PacketClass.REQUEST
                 or bank is None
                 or bank not in children
-                or now - entry[ENTRY_ARRIVAL] >= self.max_delay
+                or now - pkt.ready_at >= self.max_delay
                 or self.tracker.busy_until.get(bank, 0) <= now
             ):
                 return 0
@@ -249,14 +247,13 @@ class BankAwareArbiter(RoundRobinArbiter):
         request = PacketClass.REQUEST
         eligible: List[int] = []
         delayed: List[int] = []
-        for i, entry in enumerate(entries):
-            pkt = entry[ENTRY_PKT]
+        for i, pkt in enumerate(entries):
             bank = pkt.bank
             if (
                 pkt.klass is request
                 and bank is not None
                 and bank in children
-                and now - entry[ENTRY_ARRIVAL] < max_delay
+                and now - pkt.ready_at < max_delay
             ):
                 # Delayed while it would reach the bank before the
                 # predicted free cycle; the estimate is only needed (and
@@ -267,7 +264,7 @@ class BankAwareArbiter(RoundRobinArbiter):
                 ):
                     if (
                         router is not None
-                        and router.free_vc_count(entry[0], now)
+                        and router.free_vc_count(pkt.in_port, now)
                         < min_free_vcs
                     ):
                         # Port under VC pressure: parking this packet
@@ -279,7 +276,7 @@ class BankAwareArbiter(RoundRobinArbiter):
             eligible.append(i)
 
         for i in delayed:
-            entries[i][ENTRY_PKT].delayed_cycles += 1
+            entries[i].delayed_cycles += 1
         self.delay_cycles += len(delayed)
 
         if not eligible:
@@ -302,8 +299,7 @@ class BankAwareArbiter(RoundRobinArbiter):
             winner = -1
             b_boost = b_inject = b_arrival = 0
             for i in eligible:
-                e = entries[i]
-                pkt = e[ENTRY_PKT]
+                pkt = entries[i]
                 if pkt.klass is not request:
                     boost = 0
                 elif not pkt.is_write or not read_priority:
@@ -317,44 +313,44 @@ class BankAwareArbiter(RoundRobinArbiter):
                 elif pkt.inject_cycle != b_inject:
                     take = pkt.inject_cycle < b_inject
                 else:
-                    take = e[ENTRY_ARRIVAL] < b_arrival
+                    take = pkt.ready_at < b_arrival
                 if take:
                     winner = i
                     b_boost = boost
                     b_inject = pkt.inject_cycle
-                    b_arrival = e[ENTRY_ARRIVAL]
+                    b_arrival = pkt.ready_at
         if delayed:
             trace = self.trace
             if trace is not None:
                 trace(now, EV_ARB_REORDER, {
                     "node": node, "port": out_port,
                     "delayed": len(delayed),
-                    "granted_pid": entries[winner][ENTRY_PKT].pid,
+                    "granted_pid": entries[winner].pid,
                 })
         return winner
 
     # -- event-driven scheduling hooks ---------------------------------
 
-    def release_hint(self, node: int, out_port: int, entries: List[list],
+    def release_hint(self, node: int, out_port: int, entries: List[Packet],
                      now: int) -> int:
         """Earliest cycle one of these all-delayed candidates becomes
         eligible, barring new activity at the router.
 
         Each candidate is released at the earlier of its starvation-valve
-        expiry (``arrival + max_delay``) and the first cycle the bank
-        busy prediction clears (``free_at - travel - estimate``).
-        ``busy_until`` only grows, which moves a release later, and the
-        estimate only changes at events that re-arm the router: a WB ack
-        pokes it, and the network re-derives this hint for every parked
-        port after each RCA tick.  So the minimum is a safe wake bound.
+        expiry (``ready_at + max_delay``; ``ready_at`` is its arrival
+        here) and the first cycle the bank busy prediction clears
+        (``free_at - travel - estimate``).  ``busy_until`` only grows,
+        which moves a release later, and the estimate only changes at
+        events that re-arm the router: a WB ack pokes it, and the network
+        re-derives this hint for every parked port after each RCA tick.
+        So the minimum is a safe wake bound.
         """
         tracker = self.tracker
         estimator = self.estimator
         travel = self._travel
         best = NEVER
-        for entry in entries:
-            pkt = entry[ENTRY_PKT]
-            t = entry[ENTRY_ARRIVAL] + self.max_delay
+        for pkt in entries:
+            t = pkt.ready_at + self.max_delay
             est = estimator.congestion_estimate(node, pkt.bank, now)
             t2 = (tracker.predicted_free_at(pkt.bank)
                   - travel[pkt.bank] - est)
@@ -368,6 +364,6 @@ class BankAwareArbiter(RoundRobinArbiter):
         """Replay the per-cycle delay accrual the dense loop performs for
         candidates that stayed parked while their router slept."""
         n = len(entries) * cycles
-        for entry in entries:
-            entry[ENTRY_PKT].delayed_cycles += cycles
+        for pkt in entries:
+            pkt.delayed_cycles += cycles
         self.delay_cycles += n

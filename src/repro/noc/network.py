@@ -150,7 +150,7 @@ class Network:
         #: mesh has 128+ nodes; tracking the ~tens that are occupied
         #: beats a dense guard scan of the full router list each cycle)
         self._active_routers = set()
-        #: (node, out_port) -> (last scan cycle, parked delayed entries);
+        #: (node, out_port) -> (last scan cycle, parked delayed packets);
         #: cycles elapsed between scans are flushed into the arbiter's
         #: per-cycle delay accrual on the next scan of that port.
         self._parked: Dict[tuple, tuple] = {}
@@ -250,7 +250,8 @@ class Network:
                     break
                 queue.popleft()
                 popped = True
-                pkt.network_cycle = now
+                # The accept restamps ``ready_at``: NI time until here,
+                # the arrival at the router from now on.
                 router.accept(LOCAL, vc, pkt, next_port(node, pkt), now)
             if popped:
                 self._active_routers.add(node)
@@ -348,23 +349,24 @@ class Network:
                 cand_index = []
                 min_ready = never
                 blocked = False
+                # A queued packet's ``ready_at`` is its arrival here.
                 if out_port == local:
                     accept = flow_at[node]
-                    for i, e in enumerate(entries):
-                        ra = e[3]  # == e[2].ready_at for live entries
+                    for i, pkt in enumerate(entries):
+                        ra = pkt.ready_at
                         if ra <= now:
-                            if accept is None or accept(e[2]):
-                                candidates.append(e)
+                            if accept is None or accept(pkt):
+                                candidates.append(pkt)
                                 cand_index.append(i)
                             else:
                                 blocked = True
                         elif ra < min_ready:
                             min_ready = ra
                 else:
-                    for i, e in enumerate(entries):
-                        ra = e[3]  # == e[2].ready_at for live entries
+                    for i, pkt in enumerate(entries):
+                        ra = pkt.ready_at
                         if ra <= now:
-                            candidates.append(e)
+                            candidates.append(pkt)
                             cand_index.append(i)
                         elif ra < min_ready:
                             min_ready = ra
@@ -452,15 +454,15 @@ class Network:
                 cand_index = []
                 if out_port == LOCAL:
                     accept = self._flow_at[node]
-                    for i, e in enumerate(entries):
-                        if e[2].ready_at <= now and (
-                                accept is None or accept(e[2])):
-                            candidates.append(e)
+                    for i, pkt in enumerate(entries):
+                        if pkt.ready_at <= now and (
+                                accept is None or accept(pkt)):
+                            candidates.append(pkt)
                             cand_index.append(i)
                 else:
-                    for i, e in enumerate(entries):
-                        if e[2].ready_at <= now:
-                            candidates.append(e)
+                    for i, pkt in enumerate(entries):
+                        if pkt.ready_at <= now:
+                            candidates.append(pkt)
                             cand_index.append(i)
                 if not candidates:
                     continue
@@ -471,9 +473,8 @@ class Network:
                               candidates[winner], cand_index[winner], now)
 
     def _forward(self, router: Router, downstream: Optional[Router],
-                 out_port: int, entry: list, index: int, now: int) -> None:
-        in_port = entry[0]
-        pkt = entry[2]
+                 out_port: int, pkt: Packet, index: int, now: int) -> None:
+        in_port = pkt.in_port
         # Inline of ``router.remove_entry_at`` (one call per forwarded
         # packet; must stay exactly equivalent to it, which
         # tests/test_hotpath.py::TestForwardInlines checks).
@@ -481,9 +482,7 @@ class Network:
         del entries[index]
         if not entries:
             router.port_mask &= ~(1 << out_port)
-        slot = in_port * router.n_vcs + entry[1]
-        router.vc_pkt[slot] = None
-        router.vc_free_at[slot] = now + pkt.flits
+        router.vc_free_at[in_port * router.n_vcs + pkt.vc] = now + pkt.flits
         router.n_resident -= 1
         router.n_flits -= pkt.flits
         node = router.node
@@ -536,9 +535,7 @@ class Network:
         arb_forward = self._arb_fwd_at[node]
         if arb_forward is not None:
             arb_forward(node, pkt, now, out_port)
-        stats = self.stats
-        stats.link_traversals += 1
-        stats.flits_forwarded += pkt.flits
+        self.stats.flits_forwarded += pkt.flits
         self.link_flits[link] += pkt.flits
         if trace is not None:
             trace(now, EV_PKT_FORWARD, {
@@ -564,17 +561,16 @@ class Network:
         # which tests/test_hotpath.py::TestForwardInlines checks).
         # Both route loops verified a free VC exists before arbitrating,
         # so the claim scan always breaks.
-        n_vcs = downstream.n_vcs
-        base = in_p * n_vcs
-        pkts = downstream.vc_pkt
+        base = in_p * downstream.n_vcs
         free_at = downstream.vc_free_at
-        for slot in range(base, base + n_vcs):
-            if pkts[slot] is None and free_at[slot] <= now:
+        for slot in range(base, base + downstream.n_vcs):
+            if free_at[slot] <= now:
                 break
-        pkts[slot] = pkt
+        free_at[slot] = NEVER
+        pkt.in_port = in_p
+        pkt.vc = slot - base
         out_p = self._next_port(down_node, pkt)
-        downstream.out_entries[out_p].append(
-            [in_p, slot - base, pkt, ready_at])
+        downstream.out_entries[out_p].append(pkt)
         downstream.port_mask |= 1 << out_p
         downstream.n_resident += 1
         downstream.n_flits += pkt.flits

@@ -5,6 +5,11 @@ occupies one virtual channel per router and holds an output link for
 ``n_flits`` cycles when it is forwarded, which preserves wormhole contention
 behaviour while keeping a pure-Python cycle simulator tractable (see
 DESIGN.md, "Substitutions").
+
+A packet buffered in a router is its own candidate-queue entry: each
+accept writes the VC it holds (``in_port``, ``vc``) and its arrival
+cycle (``ready_at``) onto it, and nothing else records them (see
+:mod:`repro.noc.router`).
 """
 
 from __future__ import annotations
@@ -55,16 +60,20 @@ class Packet:
             layers; used to implement Z-X-Y routing and the region-TSB
             serialisation points.
         inject_cycle: Cycle the packet entered the source NI queue.
-        network_cycle: Cycle the packet entered the network proper.
-        ready_at: Cycle at which the packet becomes arbitratable at its
-            current router.
+        ready_at: Cycle at which the packet may move on from where it
+            is.  At the source NI: the cycle it may inject
+            (``inject_cycle``, or a retransmission's backoff).  In a
+            router: its arrival cycle there, which the accept writes.
+        in_port: Input port of the VC the packet holds at its current
+            router; written by the accept, with ``vc``.
+        vc: Index of that VC within ``in_port``.
         wb_timestamp: Timestamp tag carried for the WB estimator, or None.
         payload: Opaque reference used by the endpoints (transaction).
     """
 
     __slots__ = (
         "pid", "klass", "src", "dst", "flits", "is_write", "bank", "via",
-        "inject_cycle", "network_cycle", "ready_at", "wb_timestamp",
+        "inject_cycle", "ready_at", "in_port", "vc", "wb_timestamp",
         "payload", "hops", "delayed_cycles", "combined",
     )
 
@@ -89,7 +98,6 @@ class Packet:
         self.bank = bank
         self.via = via
         self.inject_cycle = inject_cycle
-        self.network_cycle = inject_cycle
         self.ready_at = inject_cycle
         self.wb_timestamp: Optional[int] = None
         self.payload = payload

@@ -22,13 +22,18 @@ freeing) lowers the hint again.
 
 Hot-path state layout
 ---------------------
-Per-port/per-VC state is stored *flat*: ``vc_pkt`` and ``vc_free_at``
-are single preallocated lists indexed ``port * n_vcs + vc`` so the
-per-cycle VC scans touch one list object instead of walking a
-list-of-lists.  Candidate-queue entries are ``[in_port, vc, pkt,
-arrival]`` lists, removed by *index* (the caller tracked where the entry
-sits in its queue), preserving FIFO candidate order exactly -- no
-value-equality ``list.remove`` scan.
+A buffered packet is its own candidate-queue entry: ``out_entries[port]``
+holds :class:`~repro.noc.packet.Packet` objects in FIFO order, and each
+packet carries the input port and VC it holds (``in_port``, ``vc``) and
+its arrival cycle (``ready_at``), all three written by the accept.  An
+entry leaves its queue by *index* (the caller tracked where it sits),
+preserving FIFO candidate order exactly -- no value-equality
+``list.remove`` scan.
+
+Per-VC state is one flat timestamp list, ``vc_free_at``, indexed
+``port * n_vcs + vc``: :data:`NEVER` while a packet holds the VC, and
+after it leaves, the cycle its tail drains.  A VC is free at ``now``
+iff ``vc_free_at[slot] <= now``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from typing import List, Optional
 from repro.noc.packet import Packet
 from repro.noc.topology import N_PORTS
 
-#: Sentinel "never" wake cycle for the event-driven scheduler.
+#: Sentinel "never" cycle: a wake hint with nothing due, and the
+#: ``vc_free_at`` of a held VC.
 NEVER = 1 << 60
 
 #: port_mask -> ascending tuple of set port indices (7 ports -> 128 rows);
@@ -53,7 +59,7 @@ class Router:
     """One 7-port (4 cardinal + up/down + local) mesh router."""
 
     __slots__ = (
-        "node", "n_vcs", "vc_pkt", "vc_free_at", "out_busy_until",
+        "node", "n_vcs", "vc_free_at", "out_busy_until",
         "out_entries", "port_mask", "n_resident", "n_flits",
         "link_busy_until", "next_active", "kblocked",
     )
@@ -61,9 +67,8 @@ class Router:
     def __init__(self, node: int, n_vcs: int):
         self.node = node
         self.n_vcs = n_vcs
-        #: vc_pkt[port * n_vcs + vc] -> resident/reserved Packet or None
-        self.vc_pkt: List[Optional[Packet]] = [None] * (N_PORTS * n_vcs)
-        #: cycle until which a drained VC is still occupied by a tail
+        #: vc_free_at[port * n_vcs + vc] -> NEVER while a packet holds the
+        #: VC, else the cycle its last tail drains (free iff <= now)
         self.vc_free_at: List[int] = [0] * (N_PORTS * n_vcs)
         self.out_busy_until: List[int] = [0] * N_PORTS
         #: max of ``out_busy_until`` over the non-LOCAL ports, raised at
@@ -71,12 +76,12 @@ class Router:
         #: because a port forwards only once its busy time has passed,
         #: so each write is the port's largest value yet
         self.link_busy_until = 0
-        #: out_entries[port] -> list of [in_port, vc, pkt, arrival_cycle]
-        self.out_entries: List[List[list]] = [[] for _ in range(N_PORTS)]
+        #: out_entries[port] -> resident packets routed to ``port``, FIFO
+        self.out_entries: List[List[Packet]] = [[] for _ in range(N_PORTS)]
         #: bit ``p`` set iff ``out_entries[p]`` is non-empty
         self.port_mask = 0
         self.n_resident = 0
-        #: flits of the resident entries: :meth:`queued_flits`, kept at
+        #: flits of the resident packets: :meth:`queued_flits`, kept at
         #: every accept and removal so the RCA tick reads one counter
         self.n_flits = 0
         #: earliest cycle any entry here could possibly move (lower bound)
@@ -89,30 +94,21 @@ class Router:
 
     # ------------------------------------------------------------------
 
-    @property
-    def vcs(self) -> List[List[Optional[Packet]]]:
-        """Nested ``[port][vc]`` view of the flat VC state (introspection
-        only -- the hot path indexes ``vc_pkt`` directly)."""
-        n = self.n_vcs
-        return [self.vc_pkt[p * n:(p + 1) * n] for p in range(N_PORTS)]
-
     def free_vc(self, port: int, now: int) -> int:
         """Index of a free VC at an input port, or -1."""
-        pkts = self.vc_pkt
         free_at = self.vc_free_at
         base = port * self.n_vcs
         for i in range(base, base + self.n_vcs):
-            if pkts[i] is None and free_at[i] <= now:
+            if free_at[i] <= now:
                 return i - base
         return -1
 
     def free_vc_count(self, port: int, now: int) -> int:
-        pkts = self.vc_pkt
         free_at = self.vc_free_at
         base = port * self.n_vcs
         count = 0
         for i in range(base, base + self.n_vcs):
-            if pkts[i] is None and free_at[i] <= now:
+            if free_at[i] <= now:
                 count += 1
         return count
 
@@ -124,25 +120,27 @@ class Router:
         when every VC still holds a resident packet (a release -- an
         *activity* at this router -- is needed first).
         """
-        pkts = self.vc_pkt
         free_at = self.vc_free_at
         base = port * self.n_vcs
         best = NEVER
         for i in range(base, base + self.n_vcs):
-            if pkts[i] is None:
-                t = free_at[i]
-                if t <= now:
-                    return now
-                if t < best:
-                    best = t
+            t = free_at[i]
+            if t <= now:
+                return now
+            if t < best:
+                best = t
         return best
 
     def accept(self, port: int, vc: int, pkt: Packet, out_port: int,
                arrival: int) -> None:
-        """Reserve an input VC for an incoming packet and park it on its
-        output-port candidate queue."""
-        self.vc_pkt[port * self.n_vcs + vc] = pkt
-        self.out_entries[out_port].append([port, vc, pkt, arrival])
+        """Hold an input VC for an incoming packet, stamp its arrival as
+        its ``ready_at`` and park it on its output-port candidate
+        queue."""
+        self.vc_free_at[port * self.n_vcs + vc] = NEVER
+        pkt.in_port = port
+        pkt.vc = vc
+        pkt.ready_at = arrival
+        self.out_entries[out_port].append(pkt)
         self.port_mask |= 1 << out_port
         self.n_resident += 1
         self.n_flits += pkt.flits
@@ -150,18 +148,16 @@ class Router:
             self.next_active = arrival
 
     def remove_entry_at(self, out_port: int, index: int, now: int) -> None:
-        """Unpark the entry at ``index`` of an output queue and free its
-        input VC."""
+        """Unpark the packet at ``index`` of an output queue and free its
+        input VC once its tail drains."""
         entries = self.out_entries[out_port]
-        entry = entries[index]
+        pkt = entries[index]
         del entries[index]
         if not entries:
             self.port_mask &= ~(1 << out_port)
-        slot = entry[0] * self.n_vcs + entry[1]
-        self.vc_pkt[slot] = None
-        self.vc_free_at[slot] = now + entry[2].flits
+        self.vc_free_at[pkt.in_port * self.n_vcs + pkt.vc] = now + pkt.flits
         self.n_resident -= 1
-        self.n_flits -= entry[2].flits
+        self.n_flits -= pkt.flits
 
     # ------------------------------------------------------------------
     # Introspection used by the RCA estimator and the stats collector
@@ -171,8 +167,8 @@ class Router:
         """Total flits buffered across all candidate queues."""
         total = 0
         for entries in self.out_entries:
-            for entry in entries:
-                total += entry[2].flits
+            for pkt in entries:
+                total += pkt.flits
         return total
 
     def queued_packets(self, out_port: Optional[int] = None) -> int:
@@ -182,11 +178,3 @@ class Router:
                 count += len(entries)
             return count
         return len(self.out_entries[out_port])
-
-    def occupancy(self) -> float:
-        """Fraction of input VCs currently holding a packet."""
-        held = 0
-        for pkt in self.vc_pkt:
-            if pkt is not None:
-                held += 1
-        return held / float(N_PORTS * self.n_vcs)

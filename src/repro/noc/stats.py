@@ -13,8 +13,8 @@ class NetworkStats:
 
     __slots__ = (
         "injected", "delivered", "latency_sum", "hop_sum",
-        "flits_forwarded", "link_traversals", "tsb_combined_flit_pairs",
-        "delayed_cycle_sum", "max_latency", "latency_hist",
+        "flits_forwarded", "tsb_combined_flit_pairs", "delayed_cycle_sum",
+        "latency_hist",
     )
 
     def __init__(self):
@@ -23,10 +23,8 @@ class NetworkStats:
         self.latency_sum: Dict[PacketClass, int] = {k: 0 for k in PacketClass}
         self.hop_sum = 0
         self.flits_forwarded = 0
-        self.link_traversals = 0
         self.tsb_combined_flit_pairs = 0
         self.delayed_cycle_sum = 0
-        self.max_latency = 0
         #: latency value -> number of delivered packets with that latency
         #: (the scheduler-equivalence tests compare these distributions,
         #: which catch per-packet drift that aggregate means average out)
@@ -43,8 +41,6 @@ class NetworkStats:
         self.delayed_cycle_sum += pkt.delayed_cycles
         hist = self.latency_hist
         hist[latency] = hist.get(latency, 0) + 1
-        if latency > self.max_latency:
-            self.max_latency = latency
 
     # ------------------------------------------------------------------
 
@@ -76,21 +72,3 @@ class NetworkStats:
     def latency_percentiles(self) -> Dict[float, float]:
         """p50/p95/p99 of the NI-to-NI latency distribution."""
         return percentiles_from_hist(self.latency_hist)
-
-    def as_dict(self) -> dict:
-        percentiles = self.latency_percentiles()
-        return {
-            "injected": dict(self.injected),
-            "delivered": dict(self.delivered),
-            "avg_latency": self.average_latency(),
-            "latency_p50": percentiles[50.0],
-            "latency_p95": percentiles[95.0],
-            "latency_p99": percentiles[99.0],
-            "avg_hops": self.average_hops(),
-            "flits_forwarded": self.flits_forwarded,
-            "link_traversals": self.link_traversals,
-            "combined_flit_pairs": self.tsb_combined_flit_pairs,
-            "delayed_cycle_sum": self.delayed_cycle_sum,
-            "max_latency": self.max_latency,
-            "latency_hist": dict(self.latency_hist),
-        }

@@ -6,10 +6,11 @@ scheduler-equivalence contract; the registry is the *serving-stack*
 view layered on top of them -- named metrics an observability session
 accumulates from the event stream and exports to reports and JSON.
 
-The histogram implementation is shared with ``NetworkStats.as_dict``:
-both store exact ``value -> count`` maps (packet latencies are small
+The histogram implementation is shared with ``NetworkStats``: both
+store exact ``value -> count`` maps (packet latencies are small
 integers, so the exact form is cheaper than bucketing) and derive tail
-percentiles through :func:`percentiles_from_hist`.
+percentiles through :func:`percentiles_from_hist`
+(``NetworkStats.latency_percentiles``).
 """
 
 from __future__ import annotations

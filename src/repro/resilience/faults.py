@@ -345,8 +345,7 @@ class FaultPlane:
                 continue
             moves = []
             for out_port in range(N_PORTS):
-                for i, entry in enumerate(router.out_entries[out_port]):
-                    pkt = entry[2]
+                for i, pkt in enumerate(router.out_entries[out_port]):
                     if pkt.klass is not request or pkt.bank is None:
                         continue
                     if pkt.via == failed_core_node:
@@ -360,21 +359,23 @@ class FaultPlane:
                     new_port = next_port(node, pkt)
                     count += 1
                     if new_port != out_port:
-                        moves.append((out_port, i, new_port, entry))
+                        moves.append((out_port, i, new_port, pkt))
             if not moves:
                 continue
-            # Flush parked-delay accrual for every port an entry leaves
-            # or joins; the snapshots would reference moved entries.
+            # Flush parked-delay accrual for every port a packet leaves
+            # or joins; the snapshots would reference moved packets.
             for port in {m[0] for m in moves} | {m[2] for m in moves}:
                 net.release_parked(node, port, now)
             # Apply in reverse index order per port so deletions do not
             # shift the indexes of later moves.
-            for out_port, i, new_port, entry in sorted(
+            # A move stays within this router, so each packet keeps its
+            # input VC (``in_port``, ``vc``) and arrival (``ready_at``).
+            for out_port, i, new_port, pkt in sorted(
                     moves, key=lambda m: (m[0], -m[1])):
                 del router.out_entries[out_port][i]
                 if not router.out_entries[out_port]:
                     router.port_mask &= ~(1 << out_port)
-                router.out_entries[new_port].append(entry)
+                router.out_entries[new_port].append(pkt)
                 router.port_mask |= 1 << new_port
             # Faults fire before the network steps, so the dense loop
             # may forward a moved entry this very cycle.

@@ -8,13 +8,14 @@ pass a :class:`GuardConfig` / :class:`InvariantGuard`).
 
 Checks, every ``check_period`` executed cycles:
 
-* **flit/credit conservation** -- per router, the occupied-VC count,
-  the output-queue entry count and ``n_resident`` must agree; every
-  entry's ``(in_port, vc)`` slot must hold exactly that entry's packet
-  (a mismatch is a credit leak or a double allocation); ``port_mask``
+* **flit/credit conservation** -- per router, every queued packet's
+  ``(in_port, vc)`` slot must read held (``vc_free_at`` is
+  :data:`~repro.noc.router.NEVER`; else a credit leak), no slot may be
+  claimed by two packets (a double allocation), and the held-VC count,
+  the queued-packet count and ``n_resident`` must agree; ``port_mask``
   must mirror queue occupancy.
 * **RCA counters** -- per router, ``n_flits`` must equal the flits of
-  the queued entries and ``link_busy_until`` the largest non-LOCAL
+  the queued packets and ``link_busy_until`` the largest non-LOCAL
   ``out_busy_until``; the RCA tick reads these two instead of walking
   the queues and ports.
 * **in-flight packet accounting** -- the network's monotonic
@@ -172,8 +173,8 @@ class InvariantGuard:
         net = self.network
         resident_total = 0
         for router in net.routers:
-            occupied = sum(
-                1 for pkt in router.vc_pkt if pkt is not None)
+            free_at = router.vc_free_at
+            held = free_at.count(NEVER)
             entries_total = 0
             flits = 0
             mask = 0
@@ -182,28 +183,28 @@ class InvariantGuard:
                 if entries:
                     mask |= 1 << port
                 entries_total += len(entries)
-                for entry in entries:
-                    flits += entry[2].flits
-                    slot = entry[0] * router.n_vcs + entry[1]
+                for pkt in entries:
+                    flits += pkt.flits
+                    slot = pkt.in_port * router.n_vcs + pkt.vc
                     if slot in seen_slots:
                         self._violation(
                             now, "credit",
                             f"router {router.node}: VC slot {slot} "
-                            f"allocated to two entries",
+                            f"allocated to two packets",
                         )
                     seen_slots[slot] = True
-                    if router.vc_pkt[slot] is not entry[2]:
+                    if free_at[slot] != NEVER:
                         self._violation(
                             now, "credit",
-                            f"router {router.node}: VC slot {slot} does "
-                            f"not hold the packet queued on port {port} "
+                            f"router {router.node}: VC slot {slot} of the "
+                            f"packet queued on port {port} is not held "
                             f"(credit leak)",
                         )
-            if not (occupied == entries_total == router.n_resident):
+            if not (held == entries_total == router.n_resident):
                 self._violation(
                     now, "conservation",
-                    f"router {router.node}: {occupied} occupied VCs, "
-                    f"{entries_total} queued entries, n_resident="
+                    f"router {router.node}: {held} held VCs, "
+                    f"{entries_total} queued packets, n_resident="
                     f"{router.n_resident}",
                 )
             if mask != router.port_mask:

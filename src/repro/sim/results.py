@@ -27,7 +27,6 @@ class SimulationResult:
     packets_delivered: int
     delayed_cycle_sum: int
     flits_forwarded: int
-    link_traversals: int
     combined_flit_pairs: int
 
     # banks
@@ -126,7 +125,6 @@ class SimulationResult:
             packets_delivered=net.total_delivered,
             delayed_cycle_sum=net.delayed_cycle_sum,
             flits_forwarded=net.flits_forwarded,
-            link_traversals=net.link_traversals,
             combined_flit_pairs=net.tsb_combined_flit_pairs,
             avg_bank_queue_wait=(
                 total_wait / total_samples if total_samples else 0.0

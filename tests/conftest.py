@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.cpu.trace import AccessStream, bank_block
+from repro.noc.packet import Packet
 from repro.sim.config import Scheme, SystemConfig, make_config
 from repro.workloads.mixes import Workload
 
@@ -25,6 +26,16 @@ def tiny_config(scheme: Scheme = Scheme.STTRAM_64TSB,
     defaults = dict(mesh_width=2, capacity_scale=1 / 256)
     defaults.update(overrides)
     return make_config(scheme, **defaults)
+
+
+def queued(pkt: Packet, arrival: int = 0, in_port: int = 0,
+           vc: int = 0) -> Packet:
+    """``pkt`` as a router's candidate queue holds it: in VC ``vc`` of
+    ``in_port`` since ``arrival`` (the fields ``Router.accept`` writes)."""
+    pkt.in_port = in_port
+    pkt.vc = vc
+    pkt.ready_at = arrival
+    return pkt
 
 
 class PhasedBurstStream(AccessStream):

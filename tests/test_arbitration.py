@@ -11,10 +11,7 @@ from repro.core.regions import RegionMap
 from repro.noc.packet import Packet, PacketClass
 from repro.noc.topology import Mesh3D
 from repro.sim.config import Scheme, make_config
-
-
-def entry(pkt, in_port=0, vc=0, arrival=0):
-    return [in_port, vc, pkt, arrival]
+from tests.conftest import queued
 
 
 def request(bank_node, is_write=True, bank=None, inject=0):
@@ -38,19 +35,19 @@ class TestRoundRobin:
     def test_single_candidate_wins(self):
         rr = RoundRobinArbiter()
         pkt = request(64, bank=0)
-        assert rr.choose(0, 0, [entry(pkt)], now=0) == 0
+        assert rr.choose(0, 0, [queued(pkt)], now=0) == 0
 
     def test_empty_returns_none(self):
         assert RoundRobinArbiter().choose(0, 0, [], now=0) is None
 
     def test_rotation_visits_all_vcs(self):
         rr = RoundRobinArbiter()
-        entries = [entry(request(64, bank=0), in_port=0, vc=v)
+        entries = [queued(request(64, bank=0), in_port=0, vc=v)
                    for v in range(3)]
         winners = set()
         for now in range(3):
             w = rr.choose(0, 0, entries, now)
-            winners.add(entries[w][1])
+            winners.add(entries[w].vc)
         assert winners == {0, 1, 2}
 
 
@@ -60,7 +57,7 @@ class TestBankAware:
         node = 0  # an ordinary core node, not a parent
         assert node not in rm.children_of
         pkt = request(topo.bank_node(5), bank=5)
-        assert arbiter.choose(node, 0, [entry(pkt)], now=0) == 0
+        assert arbiter.choose(node, 0, [queued(pkt)], now=0) == 0
 
     def test_write_charges_busy_tracker(self, setup):
         _cfg, topo, rm, tracker, arbiter = setup
@@ -88,7 +85,7 @@ class TestBankAware:
         arbiter.on_forward(parent, w1, now=0, out_port=0)
         w2 = request(topo.bank_node(child), is_write=True, bank=child)
         # Only candidate and bank predicted busy: idle the output.
-        assert arbiter.choose(parent, 0, [entry(w2)], now=1) is None
+        assert arbiter.choose(parent, 0, [queued(w2)], now=1) is None
         assert w2.delayed_cycles == 1
         assert arbiter.delay_cycles >= 1
 
@@ -98,10 +95,10 @@ class TestBankAware:
         busy_child, idle_child = rm.children_of[parent][:2]
         w1 = request(topo.bank_node(busy_child), True, busy_child)
         arbiter.on_forward(parent, w1, now=0, out_port=0)
-        to_busy = entry(request(topo.bank_node(busy_child), True,
-                                busy_child, inject=0))
-        to_idle = entry(request(topo.bank_node(idle_child), True,
-                                idle_child, inject=5))
+        to_busy = queued(request(topo.bank_node(busy_child), True,
+                                 busy_child, inject=0))
+        to_idle = queued(request(topo.bank_node(idle_child), True,
+                                 idle_child, inject=5))
         # Despite being younger, the idle-bank request wins.
         winner = arbiter.choose(parent, 0, [to_busy, to_idle], now=1)
         assert winner == 1
@@ -113,7 +110,7 @@ class TestBankAware:
         child = rm.children_of[parent][0]
         w1 = request(topo.bank_node(child), True, child)
         arbiter.on_forward(parent, w1, now=0, out_port=0)
-        w2 = entry(request(topo.bank_node(child), True, child))
+        w2 = queued(request(topo.bank_node(child), True, child))
         free_at = tracker.predicted_free_at(child)
         assert arbiter.choose(parent, 0, [w2], now=free_at + 1) == 0
 
@@ -126,8 +123,8 @@ class TestBankAware:
         # Keep the bank predicted-busy but let the candidate age out.
         arbiter.on_forward(parent, request(topo.bank_node(child), True,
                                            child), now=30, out_port=0)
-        stale = entry(request(topo.bank_node(child), True, child),
-                      arrival=0)
+        stale = queued(request(topo.bank_node(child), True, child),
+                       arrival=0)
         winner = arbiter.choose(
             parent, 0, [stale], now=cfg.max_delay_cycles)
         assert winner == 0
@@ -136,8 +133,8 @@ class TestBankAware:
         _cfg, topo, rm, tracker, arbiter = setup
         parent = 91
         c1, c2 = rm.children_of[parent][:2]
-        write = entry(request(topo.bank_node(c1), True, c1, inject=0))
-        read = entry(request(topo.bank_node(c2), False, c2, inject=5))
+        write = queued(request(topo.bank_node(c1), True, c1, inject=0))
+        read = queued(request(topo.bank_node(c2), False, c2, inject=5))
         winner = arbiter.choose(parent, 0, [write, read], now=0)
         assert winner == 1
 
@@ -145,10 +142,10 @@ class TestBankAware:
         _cfg, topo, rm, tracker, arbiter = setup
         parent = 91
         child = rm.children_of[parent][0]
-        req = entry(request(topo.bank_node(child), False, child,
-                            inject=0))
+        req = queued(request(topo.bank_node(child), False, child,
+                             inject=0))
         coh = Packet(PacketClass.COHERENCE, 64, 0, 1, inject_cycle=9)
-        winner = arbiter.choose(parent, 0, [req, entry(coh)], now=0)
+        winner = arbiter.choose(parent, 0, [req, queued(coh)], now=0)
         assert winner == 1
 
 
@@ -165,7 +162,7 @@ class TestVCPressure:
         child = rm.children_of[parent][0]
         arbiter.on_forward(parent, request(topo.bank_node(child), True,
                                            child), now=0, out_port=0)
-        w2 = entry(request(topo.bank_node(child), True, child))
+        w2 = queued(request(topo.bank_node(child), True, child))
         # Would normally be delayed; VC pressure forces release.
         assert arbiter.choose(parent, 0, [w2], now=1) == 0
         assert arbiter.vc_pressure_releases >= 1

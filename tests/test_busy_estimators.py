@@ -12,6 +12,7 @@ from repro.core.regions import RegionMap
 from repro.noc.packet import Packet, PacketClass
 from repro.noc.topology import Mesh3D
 from repro.sim.config import Estimator, Scheme, make_config
+from tests.conftest import queued
 
 
 def write_pkt(bank, flits=8):
@@ -97,16 +98,16 @@ class TestBusyTracker:
         # A request sent at t arrives at t + 4: busy until 37, so the
         # parent holds it through cycle 32 and releases it at 33.
         for now, winner in ((0, None), (32, None), (33, 0), (40, 0)):
-            entry = [0, 0, write_pkt(bank), now]
-            assert arbiter.choose(self.PARENT, 0, [entry], now) == winner
+            pkt = queued(write_pkt(bank), arrival=now)
+            assert arbiter.choose(self.PARENT, 0, [pkt], now) == winner
         assert arbiter.delay_cycles == 2
         assert arbiter.vc_pressure_releases == 0
-        held = [0, 0, write_pkt(bank), 0]
+        held = queued(write_pkt(bank))
         assert arbiter.release_hint(self.PARENT, 0, [held], 0) == 33
 
     def test_unknown_bank_is_idle(self, arbiter):
-        entry = [0, 0, write_pkt(self.child(arbiter)), 0]
-        assert arbiter.choose(self.PARENT, 0, [entry], now=0) == 0
+        pkt = queued(write_pkt(self.child(arbiter)))
+        assert arbiter.choose(self.PARENT, 0, [pkt], now=0) == 0
         assert arbiter.delay_cycles == 0
         assert arbiter.vc_pressure_releases == 0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DeadlockError, GuardError, GuardViolationError
-from repro.noc.packet import reset_packet_ids
+from repro.noc.packet import Packet, reset_packet_ids
 from repro.obs import (
     EV_GUARD_DEADLOCK, EV_GUARD_VIOLATION, InMemorySink, Observability,
     validate_event,
@@ -23,7 +23,7 @@ from repro.sim.config import Scheme
 from repro.sim.guard import GuardConfig, InvariantGuard
 from repro.sim.simulator import CMPSimulator
 from repro.workloads.mixes import homogeneous
-from tests.conftest import small_config
+from tests.conftest import queued, small_config
 
 SCHEMES = [
     Scheme.SRAM_64TSB,
@@ -91,7 +91,7 @@ def _occupied_router(sim):
 
 class TestConservationViolations:
     def test_credit_leak_is_flagged(self):
-        """Clearing a VC slot under a queued entry is a credit leak."""
+        """Freeing the VC slot of a queued packet is a credit leak."""
         sim = _sim_with_traffic()
         obs = Observability()
         sink = InMemorySink()
@@ -100,9 +100,9 @@ class TestConservationViolations:
         router = _occupied_router(sim)
         for entries in router.out_entries:
             if entries:
-                entry = entries[0]
-                slot = entry[0] * router.n_vcs + entry[1]
-                router.vc_pkt[slot] = None  # the leak
+                pkt = entries[0]
+                slot = pkt.in_port * router.n_vcs + pkt.vc
+                router.vc_free_at[slot] = sim.cycle  # the leak
                 break
         with pytest.raises(GuardViolationError) as err:
             sim.guard.check(sim.cycle)
@@ -119,14 +119,18 @@ class TestConservationViolations:
         router = _occupied_router(sim)
         for entries in router.out_entries:
             if entries:
-                entry = entries[0]
-                # Forge a second entry claiming the same (port, vc).
-                clone = [entry[0], entry[1], entry[2], entry[3]]
-                entries.append(clone)
+                pkt = entries[0]
+                # Forge a second packet claiming the same (port, vc).
+                twin = Packet(pkt.klass, pkt.src, pkt.dst, pkt.flits,
+                              inject_cycle=pkt.inject_cycle)
+                entries.append(queued(twin, pkt.ready_at, pkt.in_port,
+                                      pkt.vc))
                 router.n_resident += 1
+                router.n_flits += twin.flits
                 break
-        with pytest.raises(GuardViolationError):
+        with pytest.raises(GuardViolationError) as err:
             sim.guard.check(sim.cycle)
+        assert err.value.diagnostic["check"] == "credit"
 
     def test_accounting_drift_is_flagged(self):
         """injected - delivered must equal queued + resident."""

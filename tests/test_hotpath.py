@@ -1,15 +1,15 @@
 """Hot-path datapath invariants (flat router state, inlines, dispatch).
 
-The optimized executed-cycle datapath -- flat ``port * n_vcs + vc`` VC
-arrays, precomputed routing tables, per-node arbiter dispatch, the
+The optimized executed-cycle datapath -- the flat ``port * n_vcs + vc``
+VC timestamp list, precomputed routing tables, per-node arbiter dispatch, the
 active-set route loop and ``_forward``'s inlined router methods -- must
 be observationally invisible.  These tests pin that down three ways:
 
 * a fingerprint matrix: four benchmark schemes under the dense oracle
   (reference route loop) and the event scheduler (active-set route
   loop) must produce the same ``SimulationResult`` bit for bit,
-* ``Network._forward`` must leave both routers exactly as
-  ``Router.remove_entry_at`` and ``free_vc`` + ``accept`` would,
+* ``Network._forward`` must leave both routers and the packet exactly
+  as ``Router.remove_entry_at`` and ``free_vc`` + ``accept`` would,
 * the precomputed XY routing table must agree with the closed-form
   ``_compute_port`` reference at every (node, destination, via) step.
 """
@@ -68,7 +68,7 @@ def _copy_router(router):
     for name in Router.__slots__:
         value = getattr(router, name)
         if name == "out_entries":
-            value = [[list(e) for e in queue] for queue in value]
+            value = [list(queue) for queue in value]
         elif isinstance(value, list):
             value = list(value)
         setattr(twin, name, value)
@@ -78,7 +78,9 @@ def _copy_router(router):
 class TestForwardInlines:
     """``_forward`` inlines ``Router.remove_entry_at`` and ``free_vc`` +
     ``accept``.  Both datapaths run the same ``_forward``, so only a
-    direct comparison with those methods checks the inlines."""
+    direct comparison with those methods checks the inlines: every
+    router field, ``vc_free_at`` included, and the ``in_port``, ``vc``
+    and ``ready_at`` the accept writes onto the packet."""
 
     def test_forward_matches_router_methods(self):
         cfg = make_config(Scheme.SRAM_64TSB, mesh_width=4)
@@ -103,22 +105,27 @@ class TestForwardInlines:
         # The middle entry, the last one, then the sole one left.
         for index in (1, 1, 0):
             ref_up, ref_down = _copy_router(up), _copy_router(down)
-            entry = up.out_entries[EAST][index]
-            pkt = entry[2]
+            pkt = up.out_entries[EAST][index]
+            held = pkt.in_port, pkt.vc, pkt.ready_at
             out_p = net.routing.next_port(6, pkt)  # pure: no waypoint
-            net._forward(up, down, EAST, entry, index, now)
-
+            # The methods first: the removal reads the upstream VC off
+            # the packet, which the accept then overwrites.
             ref_up.remove_entry_at(EAST, index, now)
             busy = ref_up.out_busy_until[EAST] = now + pkt.flits
             ref_up.link_busy_until = max(ref_up.link_busy_until, busy)
             ref_down.accept(in_p, ref_down.free_vc(in_p, now), pkt, out_p,
                             now + cfg.hop_cycles)
+            accepted = pkt.in_port, pkt.vc, pkt.ready_at
+
+            pkt.in_port, pkt.vc, pkt.ready_at = held
+            net._forward(up, down, EAST, pkt, index, now)
+            assert (pkt.in_port, pkt.vc, pkt.ready_at) == accepted
             for name in Router.__slots__:
                 assert getattr(up, name) == getattr(ref_up, name), name
                 assert getattr(down, name) == getattr(ref_down, name), name
             now += 8
         assert up.port_mask == 0
-        assert [e[1] for e in down.out_entries[EAST]] == [2, 3, 1]
+        assert [p.vc for p in down.out_entries[EAST]] == [2, 3, 1]
 
 
 class TestRoutingTableEquivalence:

@@ -48,7 +48,7 @@ class TestRouterPrimitives:
         assert router.n_resident == 0
         # The tail keeps the VC busy for `flits` cycles.
         assert router.free_vc(LOCAL, 10) == 1
-        assert router.vcs[LOCAL][0] is None
+        assert router.free_vc_count(LOCAL, 13) == 1
         assert router.free_vc(LOCAL, 14) in (0, 1)
         assert router.free_vc_count(LOCAL, 14) == 2
 
@@ -64,10 +64,13 @@ class TestRouterPrimitives:
 
     def test_occupancy(self):
         router = Router(node=0, n_vcs=2)
-        assert router.occupancy() == 0.0
+        assert router.free_vc_count(LOCAL, 0) == 2
+        assert router.n_resident == 0
         pkt = Packet(PacketClass.REQUEST, 0, 1, 1, inject_cycle=0)
         router.accept(LOCAL, 0, pkt, out_port=0, arrival=0)
-        assert 0 < router.occupancy() < 1
+        # A held VC stays unavailable however late the cycle.
+        assert router.free_vc_count(LOCAL, 10 ** 9) == 1
+        assert router.n_resident == 1
 
 
 class TestDelivery:
@@ -198,9 +201,11 @@ class TestInjectionHeadOfLine:
         assert head.hops == 1
         assert follower.hops == 0
         resident_here = [
-            e[2] for port in net.routers[0].out_entries for e in port
+            pkt for port in net.routers[0].out_entries for pkt in port
         ]
         assert resident_here == [follower]
+        # Its age at the router counts from its arrival, not its NI time.
+        assert follower.ready_at == 5
 
     def test_blocked_node_does_not_block_other_sources(self):
         cfg, topo, net = build_network()
@@ -214,4 +219,7 @@ class TestInjectionHeadOfLine:
         assert list(net.source_queues[0]) == [blocked]
         assert not net.source_queues[1]
         assert net.total_resident() == 1
-        assert other.network_cycle == 0
+        # It entered router 1 at cycle 0 and won its output at once: one
+        # hop on, it arrives ``hop_cycles`` later.
+        assert other.hops == 1
+        assert other.ready_at == cfg.hop_cycles
