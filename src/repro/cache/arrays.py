@@ -57,29 +57,26 @@ class CacheArray:
         #: each set maps block -> dirty flag, its insertion order the
         #: LRU order (MRU last); :data:`EMPTY_SET` until its first fill
         self._sets: List[Mapping[int, bool]] = [EMPTY_SET] * self.n_sets
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
 
     # ------------------------------------------------------------------
 
     def _set_of(self, block: int) -> Mapping[int, bool]:
         return self._sets[(block // self.index_stride) % self.n_sets]
 
-    def lookup(self, block: int, touch: bool = True) -> bool:
-        """Hit test; updates LRU order and hit/miss counters."""
+    def lookup(self, block: int) -> bool:
+        """Hit test; a hit becomes MRU.
+
+        The array counts nothing: its owner books the hit or miss
+        (``CoreStats.l1_hits``/``l1_misses``, ``BankStats.l2_hits``/
+        ``l2_misses``)."""
         entry = self._set_of(block)
         if block in entry:
-            self.hits += 1
-            if touch:
-                entry[block] = entry.pop(block)
+            entry[block] = entry.pop(block)
             return True
-        self.misses += 1
         return False
 
     def contains(self, block: int) -> bool:
-        """Presence test without statistics or LRU side effects."""
+        """Presence test without LRU side effects."""
         return block in self._set_of(block)
 
     def is_dirty(self, block: int) -> bool:
@@ -114,11 +111,7 @@ class CacheArray:
         victim = None
         if len(entry) >= self.associativity:
             victim_block = next(iter(entry))
-            victim_dirty = entry.pop(victim_block)
-            self.evictions += 1
-            if victim_dirty:
-                self.dirty_evictions += 1
-            victim = (victim_block, victim_dirty)
+            victim = (victim_block, entry.pop(victim_block))
         entry[block] = dirty
         return victim
 
@@ -134,10 +127,6 @@ class CacheArray:
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def resident_blocks(self):
         """Iterate over all resident block numbers (for invariants)."""

@@ -40,8 +40,8 @@ class BankStats:
 
     __slots__ = (
         "reads", "writes", "fills", "drains", "l2_hits", "l2_misses",
-        "queue_wait_sum", "queue_wait_samples", "busy_cycles",
-        "max_queue_depth", "service_intervals",
+        "queue_wait_sum", "queue_wait_samples", "max_queue_depth",
+        "service_intervals",
     )
 
     def __init__(self):
@@ -53,14 +53,14 @@ class BankStats:
         self.l2_misses = 0
         self.queue_wait_sum = 0
         self.queue_wait_samples = 0
-        self.busy_cycles = 0
         self.max_queue_depth = 0
         #: Always-on ground-truth service log: one ``[start, end)``
         #: interval per bank operation, appended at service start.  A
         #: read preemption truncates the last interval's end to the
         #: preemption cycle.  This is the "actual busy" side of the
         #: estimator-accuracy analysis (repro.obs.accuracy) and the
-        #: source of the epoch sampler's per-bank busy fractions.
+        #: source of the epoch sampler's per-bank busy fractions, and
+        #: the one record of bank busy time.
         self.service_intervals: List[Tuple[int, int]] = []
 
 
@@ -231,9 +231,7 @@ class BankController:
                 self._current_op = ("drain", block, None)
                 service = self._array_write_cycles()
                 self.busy_until = now + service
-                stats = self.stats
-                stats.busy_cycles += service
-                stats.service_intervals.append((now, now + service))
+                self.stats.service_intervals.append((now, now + service))
                 trace = self.trace
                 if trace is not None:
                     trace(now, EV_BANK_START, {
@@ -282,7 +280,6 @@ class BankController:
             self.redirected_reads += 1
             txn: Transaction = payload
             txn.service_start = now
-            txn.l2_hit = False
             primary = self.mshrs.allocate(txn.block, waiter=txn)
             if primary is None:
                 primary = self.mshrs.force_allocate(txn.block, waiter=txn)
@@ -308,7 +305,6 @@ class BankController:
                 msgs = self.directory.on_request(
                     txn.core, block, txn.is_store)
                 owner_forward = self._emit_coherence(msgs, txn, now)
-                txn.l2_hit = False
                 if not owner_forward:
                     self._emit_response(txn, now)
         elif kind == "migrate":
@@ -369,9 +365,7 @@ class BankController:
             raise ValueError(f"unknown bank op {kind}")
 
         self.busy_until = now + service
-        stats = self.stats
-        stats.busy_cycles += service
-        stats.service_intervals.append((now, now + service))
+        self.stats.service_intervals.append((now, now + service))
         trace = self.trace
         if trace is not None:
             trace(now, EV_BANK_START, {
@@ -412,7 +406,6 @@ class BankController:
         )
         hybrid_hit = self.hybrid is not None and self.hybrid.lookup(block)
         hit = self.array.lookup(block) or buffered or hybrid_hit
-        txn.l2_hit = hit
         if hit:
             self.stats.l2_hits += 1
             msgs = self.directory.on_request(txn.core, block, txn.is_store)
@@ -497,7 +490,6 @@ class BankController:
             msgs = self.directory.on_request(
                 txn.core, block, txn.is_store)
             owner_forward = self._emit_coherence(msgs, txn, now)
-            txn.l2_hit = False
             if not owner_forward:
                 self._emit_response(txn, now)
 

@@ -2,8 +2,8 @@
 
 Four memory controllers sit at the corner nodes of the cache layer.  Each
 access costs 320 cycles; a controller can issue a new DRAM access every
-``issue_interval`` cycles and supports a bounded number of outstanding
-requests (back-pressuring the banks' miss streams).
+:data:`ISSUE_INTERVAL` cycles and supports a bounded number of
+outstanding requests (back-pressuring the banks' miss streams).
 """
 
 from __future__ import annotations
@@ -19,16 +19,17 @@ from repro.sim.config import SystemConfig
 
 ResponseSender = Callable[[MemMsg, int], None]
 
+#: cycles between two DRAM issues at one controller
+ISSUE_INTERVAL = 4
+
 
 class MemoryController:
     """One corner-node DRAM channel controller."""
 
-    def __init__(self, index: int, node: int, config: SystemConfig,
-                 issue_interval: int = 4):
+    def __init__(self, index: int, node: int, config: SystemConfig):
         self.index = index
         self.node = node
         self.latency = config.memory_latency_cycles
-        self.issue_interval = issue_interval
         self.max_outstanding = config.max_outstanding_memory * 4
         #: (completion_cycle, seq, msg) — reads awaiting data return
         self._pending: List[Tuple[int, int, MemMsg]] = []
@@ -43,7 +44,6 @@ class MemoryController:
         self._seq = 0
         self.reads = 0
         self.writes = 0
-        self.busy_cycles = 0
         self.send_response: Optional[ResponseSender] = None
 
     # ------------------------------------------------------------------
@@ -57,7 +57,7 @@ class MemoryController:
 
     def _issue(self, msg: MemMsg, now: int) -> None:
         start = max(now, self._next_issue)
-        self._next_issue = start + self.issue_interval
+        self._next_issue = start + ISSUE_INTERVAL
         if msg.is_write:
             # Writes (dirty L2 evictions) complete silently.
             self.writes += 1

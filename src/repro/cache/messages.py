@@ -13,7 +13,6 @@ class CoherenceOp(enum.IntEnum):
     INVALIDATE = 0   # home -> sharer: drop your copy
     INV_ACK = 1      # sharer -> home: dropped
     FORWARD = 2      # home -> dirty owner: send data to requester
-    OWNER_DATA = 3   # owner -> requester: forwarded dirty data
     RECALL = 4       # home -> sharer: inclusive-L2 eviction recall
 
 
@@ -29,9 +28,6 @@ class Transaction:
     issue_cycle: int
     #: filled by the bank: cycle the request started bank service
     service_start: Optional[int] = None
-    #: filled on completion
-    complete_cycle: Optional[int] = None
-    l2_hit: Optional[bool] = None
     forwarded_from_owner: bool = False
 
 
@@ -57,7 +53,6 @@ class MemMsg:
     bank: int
     #: True on the MC -> bank data-return leg
     response: bool = False
-    txn: Optional[Transaction] = None
 
 
 @dataclass(slots=True)

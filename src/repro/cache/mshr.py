@@ -17,9 +17,7 @@ class MSHRFile:
         self.name = name
         #: block -> list of opaque waiter tokens
         self._entries: Dict[int, List] = {}
-        self.allocations = 0
         self.coalesced = 0
-        self.full_stalls = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,10 +43,8 @@ class MSHRFile:
             self.coalesced += 1
             return False
         if self.full:
-            self.full_stalls += 1
             return None
         self._entries[block] = [waiter] if waiter is not None else []
-        self.allocations += 1
         return True
 
     def force_allocate(self, block: int, waiter=None) -> bool:
@@ -63,7 +59,6 @@ class MSHRFile:
             self.coalesced += 1
             return False
         self._entries[block] = [waiter] if waiter is not None else []
-        self.allocations += 1
         return True
 
     def complete(self, block: int) -> List:

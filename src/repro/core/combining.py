@@ -16,6 +16,9 @@ from repro.noc.packet import Packet
 class FlitCombiner:
     """Serialisation-time calculator for links with widened TSBs.
 
+    A pure rule: the network books what the widening saved
+    (``NetworkStats.tsb_combined_flit_pairs``) where it forwards.
+
     Args:
         width_factor: Number of 128-bit flits the link moves per cycle
             (2 for the paper's 256-bit region TSBs, 1 for normal links).
@@ -25,16 +28,7 @@ class FlitCombiner:
         if width_factor < 1:
             raise ValueError("width_factor must be >= 1")
         self.width_factor = width_factor
-        self.combined_flit_pairs = 0
-        self.packets_combined = 0
 
     def serialization_cycles(self, pkt: Packet) -> int:
         """Cycles the widened link stays busy transmitting ``pkt``."""
-        cycles = -(-pkt.flits // self.width_factor)  # ceil division
-        if self.width_factor > 1 and pkt.flits > 1:
-            saved = pkt.flits - cycles
-            if saved > 0:
-                self.combined_flit_pairs += saved
-                self.packets_combined += 1
-                pkt.combined = True
-        return cycles
+        return -(-pkt.flits // self.width_factor)  # ceil division

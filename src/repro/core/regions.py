@@ -87,8 +87,6 @@ class RegionMap:
         self.n_regions = n_regions
         self.placement = placement
         self.hop_distance = hop_distance
-        #: bank -> parent-to-bank hop distance (arbitration hot path)
-        self._child_distance: dict = {}
         #: failed region index -> healthy region index it degraded onto
         #: (stuck-at TSB fault injection; empty on fault-free runs)
         self.failed_regions: Dict[int, int] = {}
@@ -209,7 +207,6 @@ class RegionMap:
         self.failed_regions[region_index] = donor.index
         region.tsb_cache_node = donor.tsb_cache_node
         region.tsb_core_node = donor.tsb_core_node
-        self._child_distance.clear()
         self._build_parent_maps()
         return donor.index
 
@@ -233,15 +230,12 @@ class RegionMap:
     def expected_child_distance(self, bank: int) -> int:
         """Hop distance from a bank's parent to the bank itself.
 
-        Memoised: this sits on the arbitration hot path (one call per
-        managed candidate per scan).
+        Off the hot path: the bank-aware arbiter reads it once per bank
+        when it is built or its topology refreshed, into its travel
+        table (``BankAwareArbiter._travel``).
         """
-        cached = self._child_distance.get(bank)
-        if cached is None:
-            parent = self.parent_of_bank[bank]
-            cached = self.topo.manhattan(parent, self.topo.bank_node(bank))
-            self._child_distance[bank] = cached
-        return cached
+        parent = self.parent_of_bank[bank]
+        return self.topo.manhattan(parent, self.topo.bank_node(bank))
 
 
 def build_region_map(config: SystemConfig,

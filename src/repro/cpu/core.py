@@ -37,23 +37,21 @@ class CoreStats:
     """Per-core instrumentation."""
 
     __slots__ = (
-        "committed", "mem_ops", "l1_hits", "l1_misses", "stall_cycles",
+        "committed", "l1_hits", "l1_misses", "stall_cycles",
         "mshr_stall_cycles", "ni_stall_cycles", "writebacks",
-        "invalidations_received", "forwards_served", "miss_latency_sum",
-        "miss_latency_samples",
+        "miss_latency_sum", "miss_latency_samples",
     )
 
     def __init__(self):
         self.committed = 0
-        self.mem_ops = 0
+        #: memory operations by L1 outcome (their sum is the operation
+        #: count); a stalled retry counts once, when it issues
         self.l1_hits = 0
         self.l1_misses = 0
         self.stall_cycles = 0
         self.mshr_stall_cycles = 0
         self.ni_stall_cycles = 0
         self.writebacks = 0
-        self.invalidations_received = 0
-        self.forwards_served = 0
         self.miss_latency_sum = 0
         self.miss_latency_samples = 0
 
@@ -110,7 +108,6 @@ class Core:
         self._pending_block: Optional[int] = None
         self._pending_store = False
         self._advance_stream()
-        self.done = False
 
     # ------------------------------------------------------------------
 
@@ -135,11 +132,11 @@ class Core:
         """Advance one cycle; return a ``CORE_*`` scheduling status.
 
         The status classifies what the *next* cycles would do if nothing
-        external changes: pure stalls and pure gap-commits are
-        replayable in bulk by :meth:`accrue_skipped` /
-        :meth:`run_gap_cycles`, so the scheduler may put the core to
-        sleep until a wake event (packet delivery, NI drain, gap/window
-        boundary).
+        external changes: pure stalls and pure gap-commits (bounded by
+        :meth:`pure_gap_cycles`) are replayable in bulk by
+        ``CMPSimulator._accrue_core``, so the scheduler may put the core
+        to sleep until a wake event (packet delivery, NI drain,
+        gap/window boundary).
         """
         stats = self.stats
         if self._window_blocked():
@@ -203,13 +200,11 @@ class Core:
             if is_store:
                 self.l1.mark_dirty(block)
             self.stats.committed += 1
-            self.stats.mem_ops += 1
             self._advance_stream()
             return True
         if len(self._ni_queue) >= self._ni_limit:
             # NI source queue / store buffer full: stall the stream.
             self.stats.ni_stall_cycles += 1
-            self.l1.misses -= 1  # the retried lookup re-counts the miss
             self._last_stall = CORE_STALL_NI
             return False
         if is_store:
@@ -220,7 +215,6 @@ class Core:
             # the traffic the STT-RAM-aware arbiter delays.  The store
             # retires through the store buffer without blocking.
             self.stats.l1_misses += 1
-            self.stats.mem_ops += 1
             self.stats.committed += 1
             self._send_store_write(block, now)
             self._advance_stream()
@@ -229,11 +223,9 @@ class Core:
         outcome = self.mshrs.allocate(block, waiter=(now, is_store))
         if outcome is None:
             self.stats.mshr_stall_cycles += 1
-            self.l1.misses -= 1  # retried access: count the miss once
             self._last_stall = CORE_STALL_MSHR
             return False
         self.stats.l1_misses += 1
-        self.stats.mem_ops += 1
         self.stats.committed += 1
         if outcome:
             self._send_request(block, is_store, now)
@@ -293,7 +285,6 @@ class Core:
 
     def _on_fill(self, txn: Transaction, now: int) -> None:
         block = txn.block
-        txn.complete_cycle = now
         issue = self._miss_issue_cycle.pop(block, None)
         if issue is not None:
             self.stats.miss_latency_sum += now - issue
@@ -309,7 +300,6 @@ class Core:
 
     def _on_coherence(self, msg: CoherenceMsg, now: int) -> None:
         if msg.op in (CoherenceOp.INVALIDATE, CoherenceOp.RECALL):
-            self.stats.invalidations_received += 1
             present, dirty = self.l1.invalidate(msg.block)
             if present and dirty:
                 self._send_writeback(msg.block, now)
@@ -327,7 +317,6 @@ class Core:
             # An invalidated block no longer blocks retirement... it was
             # resident, so it could not have been outstanding.
         elif msg.op is CoherenceOp.FORWARD:
-            self.stats.forwards_served += 1
             # Supply the dirty line to the requester from our L1.
             if msg.exclusive:
                 self.l1.invalidate(msg.block)

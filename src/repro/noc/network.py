@@ -134,7 +134,9 @@ class Network:
                     config.region_tsb_width_factor)
         #: flits sent over each inter-router link, indexed ``node << 3 |
         #: out_port``; monotonic like ``packets_injected_total`` (LOCAL
-        #: ejections are not link traffic and are not counted)
+        #: ejections are not link traffic and are not counted).  The one
+        #: flit count: a measurement window's flit total is the growth
+        #: of its sum (``SimulationResult.collect``)
         self.link_flits: List[int] = [0] * (topo.n_nodes << 3)
         if estimator is not None:
             estimator.bind(self)
@@ -501,13 +503,14 @@ class Network:
         link = (node << 3) | out_port
         combiner = self._combiner_at[link]
         if combiner is not None:
-            before = combiner.packets_combined
             serialization = combiner.serialization_cycles(pkt)
-            self.stats.tsb_combined_flit_pairs = combiner.combined_flit_pairs
-            if trace is not None and combiner.packets_combined != before:
-                trace(now, EV_TSB_COMBINE, {
-                    "node": node, "port": out_port, "pid": pkt.pid,
-                })
+            saved = pkt.flits - serialization
+            if saved > 0:
+                self.stats.tsb_combined_flit_pairs += saved
+                if trace is not None:
+                    trace(now, EV_TSB_COMBINE, {
+                        "node": node, "port": out_port, "pid": pkt.pid,
+                    })
         else:
             serialization = pkt.flits
         busy = router.out_busy_until[out_port] = now + serialization
@@ -535,7 +538,6 @@ class Network:
         arb_forward = self._arb_fwd_at[node]
         if arb_forward is not None:
             arb_forward(node, pkt, now, out_port)
-        self.stats.flits_forwarded += pkt.flits
         self.link_flits[link] += pkt.flits
         if trace is not None:
             trace(now, EV_PKT_FORWARD, {

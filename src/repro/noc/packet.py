@@ -74,7 +74,7 @@ class Packet:
     __slots__ = (
         "pid", "klass", "src", "dst", "flits", "is_write", "bank", "via",
         "inject_cycle", "ready_at", "in_port", "vc", "wb_timestamp",
-        "payload", "hops", "delayed_cycles", "combined",
+        "payload", "hops", "delayed_cycles",
     )
 
     def __init__(
@@ -105,9 +105,6 @@ class Packet:
         #: Cycles this packet spent explicitly delayed by the bank-aware
         #: arbiter (for instrumentation).
         self.delayed_cycles = 0
-        #: True when the packet shared a region-TSB traversal slot with a
-        #: companion packet (flit combining, Section 3.4).
-        self.combined = False
 
     def latency(self, now: int) -> int:
         """Total latency from NI enqueue until ``now``."""

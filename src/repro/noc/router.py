@@ -160,11 +160,13 @@ class Router:
         self.n_flits -= pkt.flits
 
     # ------------------------------------------------------------------
-    # Introspection used by the RCA estimator and the stats collector
+    # Introspection: the tests' reference for the ``n_flits`` counter
+    # the RCA tick reads
     # ------------------------------------------------------------------
 
     def queued_flits(self) -> int:
-        """Total flits buffered across all candidate queues."""
+        """Total flits buffered across all candidate queues, counted
+        from the queues (``n_flits`` keeps the same total)."""
         total = 0
         for entries in self.out_entries:
             for pkt in entries:

@@ -13,8 +13,7 @@ class NetworkStats:
 
     __slots__ = (
         "injected", "delivered", "latency_sum", "hop_sum",
-        "flits_forwarded", "tsb_combined_flit_pairs", "delayed_cycle_sum",
-        "latency_hist",
+        "tsb_combined_flit_pairs", "delayed_cycle_sum", "latency_hist",
     )
 
     def __init__(self):
@@ -22,7 +21,8 @@ class NetworkStats:
         self.delivered: Dict[PacketClass, int] = {k: 0 for k in PacketClass}
         self.latency_sum: Dict[PacketClass, int] = {k: 0 for k in PacketClass}
         self.hop_sum = 0
-        self.flits_forwarded = 0
+        #: flits the widened region TSBs saved: per crossing packet,
+        #: ``flits`` minus its serialisation cycles (``Network._forward``)
         self.tsb_combined_flit_pairs = 0
         self.delayed_cycle_sum = 0
         #: latency value -> number of delivered packets with that latency

@@ -51,8 +51,6 @@ class GuardConfig:
     check_period: int = 64
     #: simulated cycles without forward progress => deadlock
     progress_window: int = 2000
-    conservation: bool = True
-    watchdog: bool = True
 
 
 class InvariantGuard:
@@ -98,7 +96,7 @@ class InvariantGuard:
         deadlock; the progress clock restarts when traffic appears), so
         the event scheduler's cycle skipping is unaffected at idle.
         """
-        if not self.config.watchdog or self.network.quiesced():
+        if self.network.quiesced():
             return NEVER
         deadline = self._deadline
         return deadline if deadline > now else now + 1
@@ -110,17 +108,13 @@ class InvariantGuard:
     def check(self, now: int) -> None:
         """Run one full invariant sweep (also callable from tests)."""
         self.checks_run += 1
-        config = self.config
-        if config.conservation:
-            self._check_conservation(now)
-        if config.watchdog:
-            self._check_progress(now)
+        self._check_conservation(now)
+        self._check_progress(now)
 
     def on_run_end(self, now: int) -> None:
         """Final conservation sweep at a run boundary."""
-        if self.config.conservation:
-            self.checks_run += 1
-            self._check_conservation(now)
+        self.checks_run += 1
+        self._check_conservation(now)
 
     def _signature(self) -> Tuple[int, int, int]:
         """Forward-progress signature: any change means liveness."""

@@ -60,8 +60,8 @@ class SimulationResult:
     # ------------------------------------------------------------------
 
     @classmethod
-    def collect(cls, sim, start_cycle: int,
-                committed_at_start: List[int]) -> "SimulationResult":
+    def collect(cls, sim, start_cycle: int, committed_at_start: List[int],
+                link_flits_at_start: int) -> "SimulationResult":
         cycles = sim.cycle - start_cycle
         instructions = [
             core.stats.committed - base
@@ -70,6 +70,7 @@ class SimulationResult:
         ipc = [i / cycles if cycles else 0.0 for i in instructions]
 
         net = sim.network.stats
+        flits = sum(sim.network.link_flits) - link_flits_at_start
         banks = [b.stats for b in sim.banks]
         total_wait = sum(b.queue_wait_sum for b in banks)
         total_samples = sum(b.queue_wait_samples for b in banks)
@@ -92,8 +93,8 @@ class SimulationResult:
             cycles=cycles,
             bank_reads=bank_reads,
             bank_writes=array_writes + fills + drains,
-            router_flits=net.flits_forwarded,
-            link_flits=net.flits_forwarded,
+            router_flits=flits,
+            link_flits=flits,
             tsb_flits=0,
             write_buffer_accesses=wb_accesses,
         )
@@ -124,7 +125,7 @@ class SimulationResult:
             avg_response_latency=net.average_latency(PacketClass.RESPONSE),
             packets_delivered=net.total_delivered,
             delayed_cycle_sum=net.delayed_cycle_sum,
-            flits_forwarded=net.flits_forwarded,
+            flits_forwarded=flits,
             combined_flit_pairs=net.tsb_combined_flit_pairs,
             avg_bank_queue_wait=(
                 total_wait / total_samples if total_samples else 0.0

@@ -184,7 +184,7 @@ class CMPSimulator:
         pool, then its hot set, then the shared pool once -- and each
         bank's list is then filled in that order.  Banks are independent
         arrays, so the order within a bank is all that fixes their LRU
-        state and eviction counters.
+        state.
         """
         n_banks = self._n_banks  # bank_for_block, inlined per block
         per_bank: List[List[int]] = [[] for _ in range(n_banks)]
@@ -244,8 +244,7 @@ class CMPSimulator:
 
     def _send_memory_response(self, msg: MemMsg, now: int) -> None:
         response = MemMsg(
-            block=msg.block, is_write=False, bank=msg.bank,
-            response=True, txn=msg.txn,
+            block=msg.block, is_write=False, bank=msg.bank, response=True,
         )
         dst = self.topo.bank_node(msg.bank)
         src = self._mc_node_for_block(msg.block)
@@ -408,8 +407,9 @@ class CMPSimulator:
         """Replay ``k`` skipped cycles of a sleeping core's counters.
 
         While asleep, every cycle is provably identical: a pure stall
-        bumps one stall counter (the L1 lookup/compensation nets to
-        zero), a pure gap cycle commits ``commit_width`` instructions.
+        bumps one stall counter (its retried L1 lookup misses and
+        counts nothing), a pure gap cycle commits ``commit_width``
+        instructions.
         """
         core = self.cores[core_id]
         if status == CORE_GAP:
@@ -422,7 +422,6 @@ class CMPSimulator:
             core.stats.ni_stall_cycles += k
         else:  # CORE_STALL_MSHR
             core.stats.mshr_stall_cycles += k
-            core.mshrs.full_stalls += k
 
     def _flush_lazy(self) -> None:
         """Accrue all lazily-deferred counters up to ``self.cycle``.
@@ -613,6 +612,7 @@ class CMPSimulator:
         """
         self.step(warmup)
         committed_at_start = [c.stats.committed for c in self.cores]
+        link_flits_at_start = sum(self.network.link_flits)
         start_cycle = self.cycle
         self._reset_measurement_stats()
         self.step(cycles)
@@ -621,7 +621,7 @@ class CMPSimulator:
         if self._obs is not None:
             self._obs.on_run_end(self)
         return SimulationResult.collect(
-            self, start_cycle, committed_at_start,
+            self, start_cycle, committed_at_start, link_flits_at_start,
         )
 
     def _reset_measurement_stats(self) -> None:

@@ -124,7 +124,6 @@ class SyntheticStream(AccessStream):
         )
 
         # instrumentation
-        self.accesses = 0
         self.generated_misses = 0
         self.generated_stores = 0
 
@@ -245,7 +244,6 @@ class SyntheticStream(AccessStream):
         return range(self._shared_pool_blocks) if self.shared else range(0)
 
     def next_access(self):
-        self.accesses += 1
         rng = self._rng
 
         if self._burst_remaining > 0:

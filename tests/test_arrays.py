@@ -27,13 +27,14 @@ class TestBasics:
         assert not a.lookup(10)
         a.fill(10)
         assert a.lookup(10)
-        assert a.hits == 1 and a.misses == 1
 
     def test_contains_has_no_side_effects(self):
-        a = small_array()
+        a = small_array(sets=1, ways=2)
         a.fill(10)
+        a.fill(11)
         assert a.contains(10)
-        assert a.hits == 0 and a.misses == 0
+        # 10 stays LRU: ``contains`` does not touch the order
+        assert list(a._sets[0].items()) == [(10, False), (11, False)]
 
     def test_lru_eviction_order(self):
         a = small_array(sets=1, ways=2)
@@ -58,7 +59,6 @@ class TestBasics:
         a.fill(0, dirty=True)
         victim = a.fill(1)
         assert victim == (0, True)
-        assert a.dirty_evictions == 1
 
     def test_refill_merges_dirty(self):
         a = small_array()
@@ -72,13 +72,6 @@ class TestBasics:
         assert a.invalidate(7) == (True, True)
         assert a.invalidate(7) == (False, False)
         assert not a.contains(7)
-
-    def test_hit_rate(self):
-        a = small_array()
-        a.fill(1)
-        a.lookup(1)
-        a.lookup(2)
-        assert a.hit_rate() == 0.5
 
 
 class TestIndexStride:
@@ -111,8 +104,6 @@ class ReferenceLRU:
     def __init__(self, n_sets, ways, stride):
         self.n_sets, self.ways, self.stride = n_sets, ways, stride
         self.sets = {i: [] for i in range(n_sets)}
-        self.hits = self.misses = 0
-        self.evictions = self.dirty_evictions = 0
 
     def index(self, block):
         return (block // self.stride) % self.n_sets
@@ -133,17 +124,13 @@ class ReferenceLRU:
         victim = None
         if len(s) >= self.ways:
             victim = tuple(s.pop(0))
-            self.evictions += 1
-            self.dirty_evictions += victim[1]
         s.append([block, dirty])
         return victim
 
     def lookup(self, block):
         s, pair = self.find(block)
         if pair is None:
-            self.misses += 1
             return False
-        self.hits += 1
         s.remove(pair)
         s.append(pair)
         return True
@@ -206,9 +193,6 @@ def test_property_matches_reference_lru(ops, n_sets, ways, stride):
         assert apply_op(array, op, block) == apply_op(ref, op, block), op
         index = ref.index(block)
         assert list(map(list, array._sets[index].items())) == ref.sets[index]
-    assert (array.hits, array.misses, array.evictions,
-            array.dirty_evictions) == (ref.hits, ref.misses,
-                                       ref.evictions, ref.dirty_evictions)
     assert array.occupancy() == sum(len(s) for s in ref.sets.values())
     assert sorted(array.resident_blocks()) == sorted(
         pair[0] for s in ref.sets.values() for pair in s)
@@ -225,7 +209,6 @@ def test_unfilled_sets_are_shared_and_read_only():
         assert a.invalidate(block) == (False, False)
     assert all(s is EMPTY_SET for s in a._sets)
     assert a.occupancy() == 0 and list(a.resident_blocks()) == []
-    assert a.misses == 8
     a.fill(1)
     assert [s is EMPTY_SET for s in a._sets] == [True, False, True, True]
     with pytest.raises(TypeError):

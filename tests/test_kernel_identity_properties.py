@@ -5,7 +5,7 @@ process (``repro.sim.parallel._simulate_chunk`` calling
 ``simulate_point``), each point on the event-driven cycle driver.  These
 tests assert more than summary identity: the *internal*
 instrumentation of every simulator the sweep path builds -- every
-``CoreStats`` field of every core, each MSHR file's ``full_stalls`` and
+``CoreStats`` field of every core (``mshr_stall_cycles`` among them) and
 every ``BankStats`` field including the ``service_intervals`` schedule
 -- equals, field by field, a fresh run of the same point on the dense
 reference loop.  Inputs cover the four paper schemes, randomized odd

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cache.memory import (
-    MemoryController, mc_for_block, place_memory_controllers,
+    ISSUE_INTERVAL, MemoryController, mc_for_block,
+    place_memory_controllers,
 )
 from repro.cache.messages import MemMsg
 from repro.noc.packet import Packet, PacketClass
@@ -52,8 +53,8 @@ class TestLatency:
             mc.step(now)
         times = sorted(when for _m, when in mc.responses)
         assert len(times) == 3
-        assert times[1] - times[0] >= mc.issue_interval
-        assert times[2] - times[1] >= mc.issue_interval
+        assert times[1] - times[0] >= ISSUE_INTERVAL
+        assert times[2] - times[1] >= ISSUE_INTERVAL
 
     def test_idle_tracking(self, mc):
         assert mc.idle()

@@ -21,7 +21,6 @@ class TestMSHR:
         assert m.allocate(1) is True
         assert m.allocate(2) is True
         assert m.allocate(3) is None
-        assert m.full_stalls == 1
 
     def test_coalescing_allowed_when_full(self):
         m = MSHRFile(1)

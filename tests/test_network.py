@@ -8,7 +8,8 @@ from repro.noc.network import Network
 from repro.noc.packet import Packet, PacketClass
 from repro.noc.router import Router
 from repro.noc.routing import RoutingPolicy
-from repro.noc.topology import LOCAL, Mesh3D
+from repro.noc.topology import DOWN, LOCAL, Mesh3D
+from repro.obs.events import EV_PKT_FORWARD, EV_TSB_COMBINE
 from repro.sim.config import Scheme, make_config
 
 
@@ -161,11 +162,33 @@ class TestRegionTSBCombining:
         cfg, topo, net = build_network(Scheme.STTRAM_4TSB, width=8)
         dst = topo.bank_node(9)
         net.register_sink(dst, lambda p, t: None)
+        events = []
+        net.trace = lambda now, kind, data: events.append((now, kind, data))
         pkt = Packet(PacketClass.REQUEST, 0, dst, 8, inject_cycle=0)
         net.inject(pkt, 0)
         run_until_delivered(net, cycles=1000)
-        assert pkt.combined
-        assert net.stats.tsb_combined_flit_pairs > 0
+        crossings = [(now, data["node"]) for now, kind, data in events
+                     if kind == EV_PKT_FORWARD and data["port"] == DOWN]
+        assert len(crossings) == 1
+        now, node = crossings[0]
+        # Two flits per cycle: the 256-bit TSB is busy 4 cycles, not 8,
+        # and the saving is booked once, where the packet crossed.
+        assert net.routers[node].out_busy_until[DOWN] == now + 4
+        assert net.stats.tsb_combined_flit_pairs == 4
+        assert [kind for _n, kind, _d in events].count(EV_TSB_COMBINE) == 1
+
+    def test_savings_add_across_region_tsbs(self):
+        cfg, topo, net = build_network(Scheme.STTRAM_4TSB, width=8)
+        regions = net.routing.region_map.regions
+        for region in regions[:2]:
+            dst = topo.bank_node(region.banks[-1])
+            net.register_sink(dst, lambda p, t: None)
+            net.inject(Packet(PacketClass.REQUEST, 0, dst, 8,
+                              inject_cycle=0), 0)
+        run_until_delivered(net, cycles=1000)
+        # Each packet crossed its own region's TSB and saved 4 flits.
+        assert regions[0].tsb_core_node != regions[1].tsb_core_node
+        assert net.stats.tsb_combined_flit_pairs == 8
 
 
 class TestInjectionHeadOfLine:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.noc.packet import reset_packet_ids
+from repro.noc.topology import DOWN
 from repro.obs import (
     AccuracySummary, ChromeTraceSink, Event, InMemorySink, JSONLSink,
     MetricsRegistry, Observability, busy_at, percentiles_from_hist,
@@ -258,15 +259,38 @@ class TestGroundTruthIntervals:
         sim.run(400, warmup=0)
         intervals = [b.stats.service_intervals for b in sim.banks]
         assert any(intervals)
-        for bank, ivals in zip(sim.banks, intervals):
+        for ivals in intervals:
             for start, end in ivals:
                 assert start <= end
             # Non-overlapping and ordered (bank service is serial).
             for (s1, e1), (s2, e2) in zip(ivals, ivals[1:]):
                 assert e1 <= s2
-            # Preemption may truncate intervals below busy_cycles,
-            # never above.
-            assert sum(e - s for s, e in ivals) <= bank.stats.busy_cycles
+
+
+class TestCombinedFlitPairs:
+    @pytest.mark.parametrize("scheduler", ["event", "dense"])
+    def test_equals_window_saving_over_every_region_tsb(self, scheduler):
+        """``combined_flit_pairs`` is what the window's TSB crossings
+        saved, summed over every region TSB: each 2-flit-wide crossing
+        of an ``n``-flit packet takes ``ceil(n / 2)`` cycles."""
+        sink = InMemorySink()
+        sim, _obs, result = _instrumented(
+            warmup=200, seed=3, scheduler=scheduler, sink=sink)
+        start = sim.cycle - result.cycles
+        tsb_nodes = {r.tsb_core_node for r in sim.region_map.regions}
+        assert len(tsb_nodes) == 4
+        saved = {}
+        for event in sink.by_kind(EV_PKT_FORWARD):
+            data = event.data
+            if (event.cycle >= start and data["port"] == DOWN
+                    and data["node"] in tsb_nodes):
+                flits = data["flits"]
+                saved[data["node"]] = (saved.get(data["node"], 0)
+                                       + flits - -(-flits // 2))
+        # Every TSB saved something, so a total copied from one TSB
+        # instead of summed over all of them would show.
+        assert set(saved) == tsb_nodes and all(saved.values())
+        assert result.combined_flit_pairs == sum(saved.values())
 
 
 # ----------------------------------------------------------------------

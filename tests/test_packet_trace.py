@@ -28,7 +28,6 @@ class TestPacket:
         p = Packet(PacketClass.MEMORY, 2, 3, 8, inject_cycle=5)
         assert p.hops == 0
         assert p.delayed_cycles == 0
-        assert not p.combined
         assert p.wb_timestamp is None
         assert p.ready_at == 5
 
@@ -88,14 +87,11 @@ class TestFlitCombiner:
         c = FlitCombiner(width_factor=2)
         pkt = Packet(PacketClass.REQUEST, 0, 1, 8, inject_cycle=0)
         assert c.serialization_cycles(pkt) == 4
-        assert pkt.combined
-        assert c.combined_flit_pairs == 4
 
     def test_single_flit_unchanged(self):
         c = FlitCombiner(width_factor=2)
         pkt = Packet(PacketClass.REQUEST, 0, 1, 1, inject_cycle=0)
         assert c.serialization_cycles(pkt) == 1
-        assert not pkt.combined
 
     def test_odd_flit_count_rounds_up(self):
         c = FlitCombiner(width_factor=2)
@@ -106,7 +102,6 @@ class TestFlitCombiner:
         c = FlitCombiner(width_factor=1)
         pkt = Packet(PacketClass.REQUEST, 0, 1, 8, inject_cycle=0)
         assert c.serialization_cycles(pkt) == 8
-        assert c.combined_flit_pairs == 0
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):

@@ -66,7 +66,6 @@ def array_state(array):
     return (
         [list(s.items()) for s in array._sets],
         [s is EMPTY_SET for s in array._sets],
-        (array.evictions, array.dirty_evictions, array.hits, array.misses),
     )
 
 

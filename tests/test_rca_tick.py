@@ -153,7 +153,7 @@ def test_tick_matches_reference(mesh_width, period, cycles):
     assert len(checked) == (total + period - 1) // period
     assert all(now % period == 0 for now in checked)
     # Both counters were exercised, not just their zero start.
-    assert sim.network.stats.flits_forwarded > 0
+    assert sum(sim.network.link_flits) > 0
 
 
 def test_tick_matches_reference_across_tsb_remap():
